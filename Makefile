@@ -79,14 +79,15 @@ advhunt:
 		-evals $(ADV_EVALS) -min-gain $(MIN_GAIN) \
 		-repros internal/simtest/testdata/repros
 
-# 30-second fuzz smoke over every fuzz target (wire decode, grid
-# parser, msg header): quick enough for CI, long enough to catch
-# shallow regressions against the committed corpora.
+# Fuzz smoke over every fuzz target (wire decode, grid parser and beam
+# update, costmap footprint, msg header): quick enough for CI, long
+# enough to catch shallow regressions against the committed corpora.
 fuzz-smoke:
 	go test -run '^$$' -fuzz FuzzDecodeFrame -fuzztime 10s ./internal/wire
 	go test -run '^$$' -fuzz FuzzRoundtrip -fuzztime 10s ./internal/wire
 	go test -run '^$$' -fuzz FuzzParseText -fuzztime 10s ./internal/grid
 	go test -run '^$$' -fuzz FuzzIntegrateBeamFixed -fuzztime 10s ./internal/grid
+	go test -run '^$$' -fuzz FuzzFootprintCost -fuzztime 10s ./internal/costmap
 	go test -run '^$$' -fuzz FuzzHeaderDecode -fuzztime 30s ./internal/msg
 
 # Dashboard smoke: short mission with the mission store and HTTP

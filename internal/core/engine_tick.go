@@ -759,7 +759,8 @@ func (e *engine) adapt(now float64) {
 	}
 	// Migration: ship the mutable node state (costmap snapshot and, for
 	// exploration, the SLAM maps) and pause the pipeline briefly.
-	stateBytes := float64(len(e.cm.Snapshot()))
+	w, h := e.cm.Dims()
+	stateBytes := float64(w * h)
 	if e.slm != nil {
 		stateBytes += float64(e.cfg.Map.Width * e.cfg.Map.Height)
 	}

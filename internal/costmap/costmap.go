@@ -79,9 +79,20 @@ type Costmap struct {
 	obstacle []uint8 // obstacle layer (lethal where marked)
 	master   []uint8 // combined + inflated result
 
-	cellRadius    int     // inflation radius in cells
-	kernel        []uint8 // precomputed inflation costs by cell offset
-	kernelOffsets []geom.Cell
+	inflation []kernelRow // inflation kernel, one row span per dy
+
+	// Footprint window: its radius in cells around the center cell, the
+	// squared robot radius and half a cell side.
+	fpCells      int
+	fpR2, fpHalf float64
+}
+
+// kernelRow is one row of the inflation kernel: costs[k] is stamped at
+// offset (k-half, dy) from a lethal cell. Kernel costs are never zero,
+// so a zero entry stamps nothing; a row may span a gap.
+type kernelRow struct {
+	dy, half int
+	costs    []uint8
 }
 
 // New allocates a costmap; all layers start free.
@@ -92,6 +103,9 @@ func New(cfg Config) *Costmap {
 		static:   make([]uint8, n),
 		obstacle: make([]uint8, n),
 		master:   make([]uint8, n),
+		fpCells:  int(math.Ceil(cfg.RobotRadius/cfg.Resolution)) + 1,
+		fpR2:     cfg.RobotRadius * cfg.RobotRadius,
+		fpHalf:   cfg.Resolution / 2,
 	}
 	c.buildKernel()
 	return c
@@ -99,11 +113,14 @@ func New(cfg Config) *Costmap {
 
 // buildKernel precomputes the inflation cost for every cell offset within
 // the inflation radius: 253 inside the robot radius, exponentially
-// decaying outside (cost = 252·exp(-scale·(d - r_robot))).
+// decaying outside (cost = 252·exp(-scale·(d - r_robot))). Offsets are
+// grouped into one row span per dy.
 func (c *Costmap) buildKernel() {
-	c.cellRadius = int(math.Ceil(c.cfg.InflationRadius / c.cfg.Resolution))
-	for dy := -c.cellRadius; dy <= c.cellRadius; dy++ {
-		for dx := -c.cellRadius; dx <= c.cellRadius; dx++ {
+	r := int(math.Ceil(c.cfg.InflationRadius / c.cfg.Resolution))
+	for dy := -r; dy <= r; dy++ {
+		costs := make([]uint8, 2*r+1)
+		half := -1
+		for dx := -r; dx <= r; dx++ {
 			d := math.Hypot(float64(dx), float64(dy)) * c.cfg.Resolution
 			if d > c.cfg.InflationRadius {
 				continue
@@ -121,8 +138,11 @@ func (c *Costmap) buildKernel() {
 				}
 				cost = uint8(v)
 			}
-			c.kernelOffsets = append(c.kernelOffsets, geom.Cell{X: dx, Y: dy})
-			c.kernel = append(c.kernel, cost)
+			costs[dx+r] = cost
+			half = max(half, dx, -dx)
+		}
+		if half >= 0 {
+			c.inflation = append(c.inflation, kernelRow{dy: dy, half: half, costs: costs[r-half : r+half+1]})
 		}
 	}
 }
@@ -217,31 +237,50 @@ func (c *Costmap) rebuild() UpdateStats {
 		}
 		c.master[i] = v
 	}
-	// Inflate: stamp the kernel around every lethal cell.
+	// Inflate: stamp the kernel around every lethal cell. Sources go in
+	// raster order, so every cell receives its stamps in a fixed order
+	// and the count of raising writes is deterministic.
 	w, h := c.cfg.Width, c.cfg.Height
 	for y := 0; y < h; y++ {
 		for x := 0; x < w; x++ {
 			i := y*w + x
-			if c.static[i] != LethalCost && c.obstacle[i] != LethalCost {
-				continue
-			}
-			for k, off := range c.kernelOffsets {
-				nx, ny := x+off.X, y+off.Y
-				if nx < 0 || ny < 0 || nx >= w || ny >= h {
-					continue
-				}
-				j := ny*w + nx
-				if cost := c.kernel[k]; c.master[j] != UnknownCost && cost > c.master[j] {
-					c.master[j] = cost
-					st.CellsInflated++
-				} else if c.master[j] == UnknownCost && cost >= InscribedCost {
-					c.master[j] = cost
-					st.CellsInflated++
-				}
+			if c.static[i] == LethalCost || c.obstacle[i] == LethalCost {
+				st.CellsInflated += c.inflate(x, y)
 			}
 		}
 	}
 	return st
+}
+
+// inflate stamps the kernel around the lethal cell (x, y), each row
+// span clipped to the map, and returns the number of cells it raised.
+// A stamp raises a cell whose cost it exceeds; an unknown cell only to
+// inscribed or lethal. Kernel costs stay below UnknownCost, so the
+// first test never fires on an unknown cell.
+func (c *Costmap) inflate(x, y int) int {
+	w, h := c.cfg.Width, c.cfg.Height
+	n := 0
+	for _, row := range c.inflation {
+		ny := y + row.dy
+		if ny < 0 || ny >= h {
+			continue
+		}
+		costs, lo := row.costs, x-row.half
+		if lo < 0 {
+			costs, lo = costs[-lo:], 0
+		}
+		if over := lo + len(costs) - w; over > 0 {
+			costs = costs[:len(costs)-over]
+		}
+		dst := c.master[ny*w+lo:][:len(costs)]
+		for k, cost := range costs {
+			if m := dst[k]; cost > m || (m == UnknownCost && cost >= InscribedCost) {
+				dst[k] = cost
+				n++
+			}
+		}
+	}
+	return n
 }
 
 // Cost returns the master cost of a cell (UnknownCost out of bounds).
@@ -266,52 +305,75 @@ func (c *Costmap) IsTraversable(cell geom.Cell) bool {
 // centered at the world point, for trajectory feasibility checks. Cells
 // count as inside the footprint when any part of their square intersects
 // the disc, so coarse grids cannot hide obstacles between cell centers.
+//
+// A cell's squared distance to the point is a column term plus a row
+// term, each computed once per window line with the expressions of a
+// per-cell check. Along a row the column term only falls and then
+// rises, so the cells inside form one run of columns, and a row has
+// none when even the nearest column is out.
 func (c *Costmap) FootprintCost(p geom.Vec2) uint8 {
-	rCells := int(math.Ceil(c.cfg.RobotRadius/c.cfg.Resolution)) + 1
 	center := c.WorldToCell(p)
-	r2 := c.cfg.RobotRadius * c.cfg.RobotRadius
-	half := c.cfg.Resolution / 2
+	r := c.fpCells
+	var buf [32]float64 // windows up to 32 cells wide stay on the stack
+	cols := buf[:]
+	if 2*r+1 > len(cols) {
+		cols = make([]float64, 2*r+1)
+	}
+	cols = cols[:2*r+1]
+	nearest := math.Inf(1)
+	for i := range cols {
+		cx := c.cfg.Origin.X + (float64(center.X+i-r)+0.5)*c.cfg.Resolution
+		d := geom.Clamp(p.X, cx-c.fpHalf, cx+c.fpHalf) - p.X
+		cols[i] = d * d
+		nearest = min(nearest, cols[i])
+	}
+	w, h := c.cfg.Width, c.cfg.Height
+	inside := center.X >= r && center.X < w-r && center.Y >= r && center.Y < h-r
 	worst := FreeCost
-	for dy := -rCells; dy <= rCells; dy++ {
-		for dx := -rCells; dx <= rCells; dx++ {
-			cell := geom.Cell{X: center.X + dx, Y: center.Y + dy}
-			cw := c.CellToWorld(cell)
-			closest := geom.V(
-				geom.Clamp(p.X, cw.X-half, cw.X+half),
-				geom.Clamp(p.Y, cw.Y-half, cw.Y+half),
-			)
-			if closest.DistSq(p) > r2 {
-				continue
+	for dy := -r; dy <= r && worst < LethalCost; dy++ {
+		cy := c.cfg.Origin.Y + (float64(center.Y+dy)+0.5)*c.cfg.Resolution
+		d := geom.Clamp(p.Y, cy-c.fpHalf, cy+c.fpHalf) - p.Y
+		rowSq := d * d
+		if nearest+rowSq > c.fpR2 {
+			continue
+		}
+		lo, hi := 0, len(cols)-1
+		for cols[lo]+rowSq > c.fpR2 {
+			lo++
+		}
+		for cols[hi]+rowSq > c.fpR2 {
+			hi--
+		}
+		if inside {
+			base := (center.Y+dy)*w + center.X - r
+			for _, cost := range c.master[base+lo : base+hi+1] {
+				worst = worse(worst, cost)
 			}
-			cost := c.Cost(cell)
-			if cost == UnknownCost {
-				// Unknown inside the footprint is treated as inscribed:
-				// not an immediate collision, but maximally risky.
-				cost = InscribedCost
-			}
-			if cost > worst {
-				worst = cost
-			}
+			continue
+		}
+		for i := lo; i <= hi; i++ {
+			worst = worse(worst, c.Cost(geom.Cell{X: center.X + i - r, Y: center.Y + dy}))
 		}
 	}
 	return worst
 }
 
+// worse folds one footprint cell's cost into the running worst. Unknown
+// inside the footprint is treated as inscribed: not an immediate
+// collision, but maximally risky.
+func worse(worst, cost uint8) uint8 {
+	if cost == UnknownCost {
+		cost = InscribedCost
+	}
+	return max(worst, cost)
+}
+
 // Dims returns the costmap dimensions.
 func (c *Costmap) Dims() (w, h int) { return c.cfg.Width, c.cfg.Height }
 
-// Snapshot copies the master grid (for shipping to another host or for
-// inspection in tests).
+// Snapshot copies the master grid, for inspection.
 func (c *Costmap) Snapshot() []uint8 {
 	out := make([]uint8, len(c.master))
 	copy(out, c.master)
 	return out
-}
-
-// LoadSnapshot replaces the master grid, used when a remote host streams
-// a precomputed costmap to the robot. The layers are not modified.
-func (c *Costmap) LoadSnapshot(master []uint8) {
-	if len(master) == len(c.master) {
-		copy(c.master, master)
-	}
 }

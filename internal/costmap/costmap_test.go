@@ -136,26 +136,6 @@ func TestIsTraversable(t *testing.T) {
 	}
 }
 
-func TestSnapshotRoundtrip(t *testing.T) {
-	c, _ := newTestMap()
-	snap := c.Snapshot()
-	c2 := New(c.Config())
-	c2.LoadSnapshot(snap)
-	for y := 0; y < c.cfg.Height; y++ {
-		for x := 0; x < c.cfg.Width; x++ {
-			cell := geom.Cell{X: x, Y: y}
-			if c.Cost(cell) != c2.Cost(cell) {
-				t.Fatalf("snapshot mismatch at %v", cell)
-			}
-		}
-	}
-	// Wrong-size snapshot is ignored.
-	c2.LoadSnapshot([]uint8{1, 2, 3})
-	if c2.Cost(geom.Cell{X: 0, Y: 0}) != LethalCost {
-		t.Error("bad snapshot should be ignored")
-	}
-}
-
 func TestUpdateStatsTotal(t *testing.T) {
 	s := UpdateStats{CellsCleared: 1, CellsMarked: 2, CellsInflated: 3}
 	if s.Total() != 6 {
@@ -180,6 +160,28 @@ func TestOutOfRangeBeamDoesNotMark(t *testing.T) {
 	}
 }
 
+// BenchmarkFootprintCost times one footprint check at points spread
+// over the Fig. 13 lab map, walls and their inflation included.
+func BenchmarkFootprintCost(b *testing.B) {
+	m := world.LabMap()
+	c := New(DefaultConfig(m.Width, m.Height, m.Resolution, m.Origin))
+	c.SetStatic(m)
+	rng := rand.New(rand.NewSource(1))
+	pts := make([]geom.Vec2, 1024)
+	for i := range pts {
+		pts[i] = geom.V(rng.Float64()*12, rng.Float64()*6)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		footprintSink = c.FootprintCost(pts[i%len(pts)])
+	}
+}
+
+var footprintSink uint8
+
+// BenchmarkCostmapUpdate times one full update (clearing, marking and
+// re-inflation) from a 360-beam scan on the Fig. 13 lab map.
 func BenchmarkCostmapUpdate(b *testing.B) {
 	m := world.LabMap()
 	cfg := DefaultConfig(m.Width, m.Height, m.Resolution, m.Origin)

@@ -1,0 +1,243 @@
+package costmap
+
+import (
+	"math"
+	"math/rand"
+	"testing"
+
+	"lgvoffload/internal/geom"
+	"lgvoffload/internal/grid"
+)
+
+// refFootprintCost is the per-cell footprint check the row-span kernel
+// replaced: every cell of the window computes its own center, clamp and
+// distance, and reads its cost through the bounds-checked Cost. Kept as
+// the reference FootprintCost must match exactly.
+func refFootprintCost(c *Costmap, p geom.Vec2) uint8 {
+	rCells := int(math.Ceil(c.cfg.RobotRadius/c.cfg.Resolution)) + 1
+	center := c.WorldToCell(p)
+	r2 := c.cfg.RobotRadius * c.cfg.RobotRadius
+	half := c.cfg.Resolution / 2
+	worst := FreeCost
+	for dy := -rCells; dy <= rCells; dy++ {
+		for dx := -rCells; dx <= rCells; dx++ {
+			cell := geom.Cell{X: center.X + dx, Y: center.Y + dy}
+			cw := c.CellToWorld(cell)
+			closest := geom.V(
+				geom.Clamp(p.X, cw.X-half, cw.X+half),
+				geom.Clamp(p.Y, cw.Y-half, cw.Y+half),
+			)
+			if closest.DistSq(p) > r2 {
+				continue
+			}
+			cost := c.Cost(cell)
+			if cost == UnknownCost {
+				cost = InscribedCost
+			}
+			if cost > worst {
+				worst = cost
+			}
+		}
+	}
+	return worst
+}
+
+// refKernel is the per-offset inflation kernel the row spans replaced:
+// every offset within the inflation radius in raster order, with its
+// cost.
+func refKernel(cfg Config) ([]geom.Cell, []uint8) {
+	var offs []geom.Cell
+	var costs []uint8
+	r := int(math.Ceil(cfg.InflationRadius / cfg.Resolution))
+	for dy := -r; dy <= r; dy++ {
+		for dx := -r; dx <= r; dx++ {
+			d := math.Hypot(float64(dx), float64(dy)) * cfg.Resolution
+			if d > cfg.InflationRadius {
+				continue
+			}
+			var cost uint8
+			switch {
+			case dx == 0 && dy == 0:
+				cost = LethalCost
+			case d <= cfg.RobotRadius:
+				cost = InscribedCost
+			default:
+				v := 252 * math.Exp(-cfg.CostScale*(d-cfg.RobotRadius))
+				if v < 1 {
+					continue
+				}
+				cost = uint8(v)
+			}
+			offs = append(offs, geom.Cell{X: dx, Y: dy})
+			costs = append(costs, cost)
+		}
+	}
+	return offs, costs
+}
+
+// refRebuild is the per-offset scatter inflation the row-span kernel
+// replaced: it combines c's layers into a fresh master grid and stamps
+// every kernel offset around every lethal cell with its own bounds
+// check. It returns that grid and its CellsInflated count.
+func refRebuild(c *Costmap) ([]uint8, int) {
+	master := make([]uint8, len(c.master))
+	for i := range master {
+		v := c.static[i]
+		if c.obstacle[i] == LethalCost {
+			v = LethalCost
+		}
+		master[i] = v
+	}
+	offs, kernel := refKernel(c.cfg)
+	inflated := 0
+	w, h := c.cfg.Width, c.cfg.Height
+	for y := 0; y < h; y++ {
+		for x := 0; x < w; x++ {
+			i := y*w + x
+			if c.static[i] != LethalCost && c.obstacle[i] != LethalCost {
+				continue
+			}
+			for k, off := range offs {
+				nx, ny := x+off.X, y+off.Y
+				if nx < 0 || ny < 0 || nx >= w || ny >= h {
+					continue
+				}
+				j := ny*w + nx
+				if cost := kernel[k]; master[j] != UnknownCost && cost > master[j] {
+					master[j] = cost
+					inflated++
+				} else if master[j] == UnknownCost && cost >= InscribedCost {
+					master[j] = cost
+					inflated++
+				}
+			}
+		}
+	}
+	return master, inflated
+}
+
+// randomCostmap builds a costmap whose static layer holds random
+// occupied, free and unknown cells and whose obstacle layer holds random
+// lethal cells, denser on the map border. The master grid is left to
+// the caller's rebuild.
+func randomCostmap(rng *rand.Rand, cfg Config) *Costmap {
+	c := New(cfg)
+	m := grid.NewMap(cfg.Width, cfg.Height, cfg.Resolution, cfg.Origin, grid.Free)
+	for i := range m.Cells {
+		switch r := rng.Float64(); {
+		case r < 0.04:
+			m.Cells[i] = grid.Occupied
+		case r < 0.20:
+			m.Cells[i] = grid.Unknown
+		}
+	}
+	c.SetStatic(m)
+	w, h := cfg.Width, cfg.Height
+	for y := 0; y < h; y++ {
+		for x := 0; x < w; x++ {
+			p := 0.02
+			if x == 0 || y == 0 || x == w-1 || y == h-1 {
+				p = 0.3
+			}
+			if rng.Float64() < p {
+				c.obstacle[y*w+x] = LethalCost
+			}
+		}
+	}
+	return c
+}
+
+// footprintShapes are robot-radius/resolution pairs whose footprint
+// windows reach 3 to 51 cells from the center, the last wider than
+// FootprintCost's stack buffer.
+var footprintShapes = []struct{ radius, res float64 }{
+	{0.105, 0.05},
+	{0.105, 0.1},
+	{0.2, 0.03},
+	{0.105, 0.013},
+	{0.5, 0.01},
+}
+
+// randomFootprintMap builds a costmap of the given footprint shape, at
+// least two windows wide, whose master grid holds random costs: mostly
+// free to decayed, some inscribed, lethal and unknown.
+func randomFootprintMap(rng *rand.Rand, shape int, origin geom.Vec2) *Costmap {
+	s := footprintShapes[shape%len(footprintShapes)]
+	span := 2*(int(math.Ceil(s.radius/s.res))+1) + 1
+	cfg := DefaultConfig(max(48, 2*span+8), max(40, 2*span+6), s.res, origin)
+	cfg.RobotRadius = s.radius
+	c := New(cfg)
+	rng.Read(c.master)
+	for i, b := range c.master {
+		switch {
+		case b < 3:
+			c.master[i] = LethalCost
+		case b < 16:
+			c.master[i] = UnknownCost
+		case b < 19:
+			c.master[i] = InscribedCost
+		default:
+			c.master[i] = b % InscribedCost
+		}
+	}
+	return c
+}
+
+func TestFootprintCostMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for shape := range footprintShapes {
+		for _, origin := range []geom.Vec2{{}, geom.V(-3.7, 1.3)} {
+			c := randomFootprintMap(rng, shape, origin)
+			cfg := c.Config()
+			wm, hm := float64(cfg.Width)*cfg.Resolution, float64(cfg.Height)*cfg.Resolution
+			span := 2*c.fpCells + 1
+			for i := 0; i < min(4000, 2_000_000/(span*span)); i++ {
+				// Points up to half a meter past every edge, and every
+				// fourth one on a cell boundary.
+				p := geom.V(
+					origin.X-0.5+rng.Float64()*(wm+1),
+					origin.Y-0.5+rng.Float64()*(hm+1),
+				)
+				if i%4 == 0 {
+					p.X = origin.X + math.Round((p.X-origin.X)/cfg.Resolution)*cfg.Resolution
+				}
+				if got, want := c.FootprintCost(p), refFootprintCost(c, p); got != want {
+					t.Fatalf("shape %d origin %v: FootprintCost(%v) = %d, reference %d", shape, origin, p, got, want)
+				}
+			}
+		}
+	}
+}
+
+func TestRebuildMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	cases := []struct {
+		res, robot, inflation, scale float64
+		unknownLethal                bool
+	}{
+		{0.05, 0.105, 0.45, 8, false},
+		{0.05, 0.105, 0.45, 8, true},
+		{0.1, 0.15, 0.3, 3, false},
+		{0.03, 0.105, 0.4, 20, false}, // decay cuts the kernel's corners short
+		{0.05, 0.3, 0.2, 8, false},    // inflation radius inside the robot radius
+	}
+	for ci, tc := range cases {
+		for trial := 0; trial < 4; trial++ {
+			cfg := DefaultConfig(37+trial*9, 29+trial*5, tc.res, geom.V(-1.1, 0.4))
+			cfg.RobotRadius, cfg.InflationRadius, cfg.CostScale = tc.robot, tc.inflation, tc.scale
+			cfg.UnknownIsLethal = tc.unknownLethal
+			c := randomCostmap(rng, cfg)
+			st := c.rebuild()
+			want, inflated := refRebuild(c)
+			if st.CellsInflated != inflated {
+				t.Fatalf("case %d trial %d: CellsInflated = %d, reference %d", ci, trial, st.CellsInflated, inflated)
+			}
+			got := c.Snapshot()
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("case %d trial %d: cell %d = %d, reference %d", ci, trial, i, got[i], want[i])
+				}
+			}
+		}
+	}
+}

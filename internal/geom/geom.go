@@ -128,22 +128,37 @@ type Twist struct {
 
 // Integrate advances pose p by twist t over dt seconds using the exact
 // unicycle arc model (falls back to straight-line for |w| ≈ 0).
-func (t Twist) Integrate(p Pose, dt float64) Pose {
+func (t Twist) Integrate(p Pose, dt float64) Pose { return t.Arc(dt).Apply(p) }
+
+// Arc is the body-frame step of a constant twist over a fixed time: the
+// displacement in the frame of the pose it starts from, and the heading
+// change. It depends only on the twist and the duration, so a rollout
+// computes it once and applies it at every step.
+type Arc struct {
+	d    Vec2    // displacement in the starting pose's frame, m
+	dth  float64 // heading change, rad
+	turn bool    // false on the straight-line model: heading kept as is
+}
+
+// Arc returns the step of twist t over dt seconds on the exact unicycle
+// arc model (straight-line for |w| ≈ 0).
+func (t Twist) Arc(dt float64) Arc {
 	if math.Abs(t.W) < 1e-9 {
-		return Pose{
-			Pos:   p.Pos.Add(V(t.V*dt, 0).Rotate(p.Theta)),
-			Theta: p.Theta,
-		}
+		return Arc{d: V(t.V*dt, 0)}
 	}
 	// Arc of radius v/w.
 	r := t.V / t.W
 	dth := t.W * dt
-	dx := r * math.Sin(dth)
-	dy := r * (1 - math.Cos(dth))
-	return Pose{
-		Pos:   p.Pos.Add(V(dx, dy).Rotate(p.Theta)),
-		Theta: NormalizeAngle(p.Theta + dth),
+	return Arc{d: V(r*math.Sin(dth), r*(1-math.Cos(dth))), dth: dth, turn: true}
+}
+
+// Apply advances pose p by the step.
+func (a Arc) Apply(p Pose) Pose {
+	pos := p.Pos.Add(a.d.Rotate(p.Theta))
+	if !a.turn {
+		return Pose{Pos: pos, Theta: p.Theta}
 	}
+	return Pose{Pos: pos, Theta: NormalizeAngle(p.Theta + a.dth)}
 }
 
 // NormalizeAngle wraps an angle into (-π, π].

@@ -174,6 +174,59 @@ func TestTwistIntegrateConsistency(t *testing.T) {
 	}
 }
 
+// refIntegrate is the unicycle step Integrate computed before it split
+// into Arc and Apply, recomputing the arc's sin and cos on every call.
+// Kept as the reference a chain of Arc.Apply must match bit for bit.
+func refIntegrate(t Twist, p Pose, dt float64) Pose {
+	if math.Abs(t.W) < 1e-9 {
+		return Pose{
+			Pos:   p.Pos.Add(V(t.V*dt, 0).Rotate(p.Theta)),
+			Theta: p.Theta,
+		}
+	}
+	r := t.V / t.W
+	dth := t.W * dt
+	dx := r * math.Sin(dth)
+	dy := r * (1 - math.Cos(dth))
+	return Pose{
+		Pos:   p.Pos.Add(V(dx, dy).Rotate(p.Theta)),
+		Theta: NormalizeAngle(p.Theta + dth),
+	}
+}
+
+func TestArcChainMatchesIntegrate(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	same := func(a, b Pose) bool {
+		return math.Float64bits(a.Pos.X) == math.Float64bits(b.Pos.X) &&
+			math.Float64bits(a.Pos.Y) == math.Float64bits(b.Pos.Y) &&
+			math.Float64bits(a.Theta) == math.Float64bits(b.Theta)
+	}
+	twists := []Twist{{V: 0.2}, {V: 0.1, W: 5e-10}, {V: 0.1, W: -1e-9}, {V: 0, W: 1.3}, {V: -0.05, W: -2}}
+	for i := 0; i < 200; i++ {
+		twists = append(twists, Twist{V: rng.Float64()*0.5 - 0.1, W: rng.Float64()*4 - 2})
+	}
+	for _, tw := range twists {
+		for _, dt := range []float64{0.1, 0.05, 0, 1.7} {
+			// Unnormalized and negative-zero headings pass through the
+			// straight-line model untouched.
+			for _, start := range []Pose{P(1, -2, 0.4), {Pos: V(3, 1), Theta: 4.0}, {Theta: math.Copysign(0, -1)}} {
+				if got, want := tw.Integrate(start, dt), refIntegrate(tw, start, dt); !same(got, want) {
+					t.Fatalf("%+v dt=%v from %v: Integrate = %v, reference %v", tw, dt, start, got, want)
+				}
+				arc := tw.Arc(dt)
+				ref, chain := start, start
+				for s := 0; s < 12; s++ {
+					ref = refIntegrate(tw, ref, dt)
+					chain = arc.Apply(chain)
+					if !same(chain, ref) {
+						t.Fatalf("%+v dt=%v from %v: step %d = %v, reference %v", tw, dt, start, s, chain, ref)
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestBresenhamHorizontal(t *testing.T) {
 	var got []Cell
 	Bresenham(Cell{0, 0}, Cell{3, 0}, func(c Cell) bool {

@@ -537,9 +537,13 @@ func (s *Scheduler) finish(m *mission, state State, why string) {
 	s.publishEnd(m.id, state, reason, sum.Success)
 }
 
-// finishCommonLocked applies result retention and wakes Shutdown when
-// the running set drains. Caller holds mu.
+// finishCommonLocked releases the mission's engine, config and
+// Recorder, applies result retention and wakes Shutdown when the
+// running set drains. Caller holds mu, and any Recorder has finished.
 func (s *Scheduler) finishCommonLocked(m *mission) {
+	// Status rows live as long as the daemon; the engine and the
+	// Recorder's queue (about 1.2 MiB), held again by cfg.Store, must not.
+	m.m, m.rec, m.cfg = nil, nil, core.MissionConfig{}
 	s.doneOrder = append(s.doneOrder, m.id)
 	// Retention: drop the oldest full Results beyond the cap; summaries
 	// and status rows stay, so memory is bounded by the engine states of

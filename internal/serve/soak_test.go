@@ -89,6 +89,9 @@ func TestSchedulerSoak1000(t *testing.T) {
 	var after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&after)
+	// A live daemon keeps every status row: without this the collector
+	// may free the scheduler before the read and hide a per-row leak.
+	runtime.KeepAlive(s)
 	if grew := int64(after.HeapAlloc) - int64(before.HeapAlloc); grew > 64<<20 {
 		// 1000 leaked Recorders alone would be ~1.4 GiB of channel
 		// buffers; 64 MiB is generous slack for the retained tail.

@@ -182,11 +182,12 @@ func (t *Tracker) scoreOne(i int, in Input, carrot geom.Vec2) (cost float64, ste
 		maxV = in.MaxVCap
 	}
 	tw := t.candidate(i, in.Vel, maxV)
+	arc := tw.Arc(c.SimDt)
 	pose := in.Pose
 	worstCell := uint8(0)
 	n := int(c.SimTime / c.SimDt)
 	for s := 0; s < n; s++ {
-		pose = tw.Integrate(pose, c.SimDt)
+		pose = arc.Apply(pose)
 		steps++
 		fc := in.Costmap.FootprintCost(pose.Pos)
 		if fc >= costmap.InscribedCost {

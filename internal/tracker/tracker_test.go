@@ -261,6 +261,31 @@ func BenchmarkPlanSerial(b *testing.B) {
 	}
 }
 
+// BenchmarkPlan1000 times one serial plan at the engine's 1000-sample
+// setting (25 × 40) on the Fig. 13 lab map, from the mission's start
+// toward the door gap.
+func BenchmarkPlan1000(b *testing.B) {
+	m := world.LabMap()
+	cm := costmap.New(costmap.DefaultConfig(m.Width, m.Height, m.Resolution, m.Origin))
+	cm.SetStatic(m)
+	cfg := DefaultConfig()
+	cfg.VSamples, cfg.WSamples = 25, 40
+	tr := New(cfg)
+	in := Input{
+		Pose:    geom.P(0.6, 0.6, 0.3),
+		Vel:     geom.Twist{V: 0.15, W: 0.2},
+		Path:    []geom.Vec2{geom.V(0.6, 0.6), geom.V(2.0, 2.9), geom.V(4.0, 2.9), geom.V(11, 5)},
+		Costmap: cm,
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := tr.Plan(in); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func BenchmarkPlanParallel4(b *testing.B) {
 	tr := New(DefaultConfig())
 	in := straightInput(openCostmap())
