@@ -1,5 +1,5 @@
 # Tier-1 gate (ROADMAP.md): everything must pass before a change lands.
-.PHONY: check fmt vet build test chaos bench bench-gate reproduce trace-demo hunt advhunt fuzz-smoke dash-smoke serve-smoke
+.PHONY: check fmt vet build test chaos bench bench-gate bench-harness reproduce trace-demo hunt advhunt fuzz-smoke dash-smoke serve-smoke
 
 check: fmt vet build test
 
@@ -51,6 +51,13 @@ bench-gate:
 	go test -run 'TestAlloc' -count=1 .
 	go run ./cmd/benchjson -gate BENCH_PR9.json -tol $(BENCH_TOL) \
 		$(if $(BENCH_REPORT),-report $(BENCH_REPORT))
+
+# Benchmark harness compile check. perfbench/ is a module of its own,
+# so vet, build and test above never see it: an API change in obs or
+# core could break `bash perfbench/run.sh` with every other check green.
+bench-harness:
+	go -C perfbench vet ./...
+	go -C perfbench test ./...
 
 reproduce:
 	go run ./cmd/reproduce -exp all

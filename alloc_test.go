@@ -16,6 +16,7 @@ import (
 	"lgvoffload/internal/msg"
 	"lgvoffload/internal/obs"
 	"lgvoffload/internal/slam"
+	"lgvoffload/internal/spans"
 	"lgvoffload/internal/store"
 	"lgvoffload/internal/trace"
 	"lgvoffload/internal/tracker"
@@ -130,13 +131,11 @@ func TestAllocStoreRecorderDisabled(t *testing.T) {
 func TestAllocFlightSLODisabled(t *testing.T) {
 	var fr *obs.FlightRecorder
 	var slo *obs.SLOEngine
-	frame := obs.FlightFrame{T: 1, VDP: 0.04, EnergyJ: 12}
-	sample := obs.SLOSample{T: 1, VDP: 0.04, EnergyJ: 12, Staleness: 0.2}
+	frame := obs.FlightFrame{T: 1, VDP: 0.04, EnergyJ: 12, Staleness: 0.2}
 	allocs := testing.AllocsPerRun(100, func() {
 		fr.Record(frame)
-		fr.Emit(obs.Event{Kind: obs.KindTick, T0: 1})
 		_ = fr.Dump("x", "", 1)
-		_ = slo.Observe(sample)
+		_ = slo.Observe(frame)
 		_ = slo.Health()
 	})
 	if allocs > 0 {
@@ -144,23 +143,27 @@ func TestAllocFlightSLODisabled(t *testing.T) {
 	}
 }
 
-// TestAllocFlightSLOEnabledSteadyState: with the recorder and the full
-// default rule set enabled and the rolling windows warm, one tick's
-// observability work (ring write + event mirror + four rule
-// evaluations) stays within the 2 allocs/tick budget. In practice it is
-// zero: the frame ring is preallocated, the SLO windows grow once, and
-// the p99 sort reuses its scratch buffer.
+// TestAllocFlightSLOEnabledSteadyState: with the recorder attached to a
+// telemetry timeline, the full default rule set enabled and the rolling
+// window warm, one tick's observability work (ring write + timeline
+// event + four rule evaluations) stays within the 2 allocs/tick budget.
+// In practice it is zero: the frame ring and the timeline are
+// preallocated, the SLO window grows once, and the p99 sort reuses its
+// scratch buffer.
 func TestAllocFlightSLOEnabledSteadyState(t *testing.T) {
+	tel := obs.NewTelemetry(0)
 	fr := obs.NewFlightRecorder(obs.FlightConfig{})
+	fr.Attach(tel)
 	slo := obs.NewSLOEngine(obs.DefaultSLORules())
 	tt := 0.0
 	tick := func() {
 		tt += 0.2
-		fr.Record(obs.FlightFrame{T: tt, VDP: 0.04, EnergyJ: 10 * tt, Sent: int(tt * 5)})
-		fr.Emit(obs.Event{Kind: obs.KindTick, T0: tt, Value: tt})
+		f := obs.FlightFrame{T: tt, VDP: 0.04, EnergyJ: 10 * tt, Sent: int(tt * 5), Staleness: 0.2}
+		fr.Record(f)
+		tel.Emit(obs.Event{Kind: obs.KindTick, T0: tt, Value: tt})
 		// Healthy steady state: no rule fires, Observe returns nil.
-		if b := slo.Observe(obs.SLOSample{T: tt, VDP: 0.04, EnergyJ: 10 * tt, Staleness: 0.2}); b != nil {
-			t.Fatalf("steady-state sample raised breaches: %+v", b)
+		if b := slo.Observe(f); b != nil {
+			t.Fatalf("steady-state frame raised breaches: %+v", b)
 		}
 	}
 	// Warm every rolling window past its longest rule window (30 s).
@@ -170,5 +173,27 @@ func TestAllocFlightSLOEnabledSteadyState(t *testing.T) {
 	allocs := testing.AllocsPerRun(100, tick)
 	if allocs > 2 {
 		t.Errorf("enabled flight/SLO steady state allocates %.1f/tick, want <= 2", allocs)
+	}
+}
+
+// TestAllocTimelineTracerEnabledSteadyState: the enabled event timeline
+// and span tracer write into rings allocated up front, so appending an
+// event or recording a span allocates nothing, before and after the
+// rings wrap.
+func TestAllocTimelineTracerEnabledSteadyState(t *testing.T) {
+	tl := obs.NewTimeline(64)
+	tr := spans.NewTracer(64)
+	trace := tr.NewTrace()
+	i := 0.0
+	step := func() {
+		i++
+		tl.Append(obs.Event{Kind: obs.KindTick, T0: i, T1: i + 0.2})
+		tr.Add(trace, 0, "tick", "lgv", "velocity_mux", spans.Compute, i, i+0.1)
+	}
+	if allocs := testing.AllocsPerRun(200, step); allocs != 0 {
+		t.Errorf("enabled timeline append + span add allocates %.1f/op, want 0", allocs)
+	}
+	if tl.Evicted() == 0 || tr.Dropped() == 0 {
+		t.Fatal("rings never wrapped; the bound is untested")
 	}
 }

@@ -187,8 +187,8 @@ func main() {
 		// A long mission at 5 Hz emits several events per tick; a roomy
 		// ring keeps the early adaptation decisions from being evicted.
 		// The SLO engine and flight recorder ride on telemetry too: the
-		// breach counter lives in its registry, and the recorder's event
-		// ring is fed by its tee.
+		// breach counter lives in its registry, and the recorder's
+		// bundles copy their events from its timeline.
 		tel = lgvoffload.NewTelemetry(1 << 16)
 		cfg.Telemetry = tel
 	}

@@ -552,12 +552,9 @@ func newEngine(cfg MissionConfig) (*engine, error) {
 		link.SetSink(cfg.Telemetry)
 		e.tel.SetPhase(cfg.Workload.String())
 	}
-	if cfg.FlightRec != nil && cfg.Telemetry != nil {
-		// Mirror the event stream into the recorder's own bounded ring so
-		// bundles carry the events of their window even after the main
-		// timeline evicts them.
-		cfg.Telemetry.Tee(cfg.FlightRec)
-	}
+	// Bundles copy the events of their window from this mission's
+	// timeline.
+	cfg.FlightRec.Attach(cfg.Telemetry)
 	missLimit := cfg.FailoverMisses
 	if missLimit < 0 {
 		missLimit = 0 // sentinel: failover disabled

@@ -608,8 +608,9 @@ func (e *engine) sendProbe(now float64) {
 	e.tel.Probe(now, downArrive-now)
 }
 
-// finishTick accounts local computation energy, runs the adaptive
-// controller, and records the trace point.
+// finishTick accounts local computation energy, then hands the tick to
+// observeTick, which feeds the per-tick consumers, runs the adaptive
+// controller and records the trace point.
 func (e *engine) finishTick(now float64, localWork hostsim.Work, pipelineLat float64) {
 	// Energy for cycles retired on board, capped at the Pi's capacity
 	// over the tick interval.
@@ -619,28 +620,7 @@ func (e *engine) finishTick(now float64, localWork hostsim.Work, pipelineLat flo
 	e.meter.AddCycles(math.Min(localWork.Total(), budget))
 
 	e.tel.TickSpan(now, e.nextControl, pipelineLat)
-	e.recordTick(now, pipelineLat)
-	e.recordFlight(now, pipelineLat)
-
-	if e.cfg.Deployment.Mode == Adaptive {
-		e.adapt(now)
-	}
-
-	if e.cfg.RecordTrace {
-		tail, _ := e.prof.TailLatency(0.99)
-		e.trace = append(e.trace, TracePoint{
-			T:          now,
-			X:          e.w.Robot.Pose.Pos.X,
-			Y:          e.w.Robot.Pose.Pos.Y,
-			MaxVel:     e.vmax,
-			RealVel:    math.Abs(e.w.Robot.Vel.V),
-			Bandwidth:  e.prof.Bandwidth(now),
-			TailLatSec: tail,
-			Direction:  e.prof.Direction(),
-			Signal:     e.link.Signal(),
-			RemoteOn:   len(e.placement.RemoteNodes()) > 0,
-		})
-	}
+	e.observeTick(now, pipelineLat)
 }
 
 // noteMiss records one missed remote VDP tick (scan lost uplink or

@@ -8,30 +8,12 @@ import (
 	"lgvoffload/internal/store"
 )
 
-// This file is the engine's only coupling to the mission store: the
-// per-tick/per-decision record hooks and the Result → summary
-// projection. Recording is strictly additive — it reads engine state
-// the tick already computed, consumes no randomness and never blocks
-// (the Recorder drops on overflow), so a recorded mission is
-// bit-identical to an unrecorded one.
-
-// recordTick persists one per-tick telemetry snapshot.
-func (e *engine) recordTick(now, pipelineLat float64) {
-	if e.rec == nil {
-		return
-	}
-	e.rec.Tick(store.Tick{
-		T:         now,
-		VDP:       pipelineLat,
-		EnergyJ:   e.meter.Total(),
-		Bandwidth: e.prof.Bandwidth(now),
-		Direction: e.prof.Direction(),
-		Signal:    e.link.Signal(),
-		MaxVel:    e.vmax,
-		RealVel:   math.Abs(e.w.Robot.Vel.V),
-		RemoteOn:  len(e.placement.RemoteNodes()) > 0,
-	})
-}
+// This file is the engine's coupling to the mission store beyond the
+// per-tick record (observe.go): the per-decision and end-of-run record
+// hooks and the Result → summary projection. Recording is strictly
+// additive — it reads engine state the tick already computed, consumes
+// no randomness and never blocks (the Recorder drops on overflow), so a
+// recorded mission is bit-identical to an unrecorded one.
 
 // recordDecision persists one adaptation decision.
 func (e *engine) recordDecision(d AdaptDecision) {

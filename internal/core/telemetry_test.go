@@ -197,3 +197,65 @@ func TestProfilerRTTOK(t *testing.T) {
 		t.Errorf("RTTOK = %v, %v", got, ok)
 	}
 }
+
+// TestFlightBundleHoldsEveryWindowEvent: a bundle dumped at the last
+// frame of the Fig. 13 lab navigation mission (perfbench's nav-observed
+// mission on seed 1, which reaches its goal at 39.8 s) carries every
+// event the mission timeline holds for the bundle's window — more than
+// a thousand at this mission's event rate.
+func TestFlightBundleHoldsEveryWindowEvent(t *testing.T) {
+	tel := obs.NewTelemetry(1 << 16)
+	fr := obs.NewFlightRecorder(obs.FlightConfig{})
+	if _, err := Run(MissionConfig{
+		Workload: NavigationWithMap, Map: world.LabMap(),
+		Start: geom.P(0.6, 0.6, 0), Goal: geom.V(11, 5), WAP: geom.V(6, 3),
+		Deployment: DeployAdaptive(HostEdge, 8, GoalMCT),
+		Seed:       1, MaxSimTime: 40,
+		Telemetry: tel, FlightRec: fr,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	now := fr.LastTime()
+	b := fr.ForceDump("test", "", now)
+	if b == nil {
+		t.Fatal("ForceDump returned nil")
+	}
+
+	sc := bufio.NewScanner(bytes.NewReader(b.Data))
+	sc.Buffer(make([]byte, 0, 1<<20), 1<<20)
+	var hdr struct{ Window float64 }
+	var got []obs.Event
+	for first := true; sc.Scan(); first = false {
+		if first {
+			if err := json.Unmarshal(sc.Bytes(), &hdr); err != nil {
+				t.Fatal(err)
+			}
+			continue
+		}
+		var row struct{ Event *obs.Event }
+		if err := json.Unmarshal(sc.Bytes(), &row); err != nil {
+			t.Fatal(err)
+		}
+		if row.Event != nil {
+			got = append(got, *row.Event)
+		}
+	}
+	var want []obs.Event
+	for _, ev := range tel.Events() {
+		if math.Max(ev.T0, ev.T1) >= now-hdr.Window && ev.T0 <= now {
+			want = append(want, ev)
+		}
+	}
+	if len(want) <= 1024 {
+		t.Fatalf("window holds only %d events; the mission must emit more than 1024 to test the bundle", len(want))
+	}
+	if len(got) != len(want) || b.Events != len(want) {
+		t.Fatalf("bundle holds %d events (header %d), the timeline holds %d in its %g s window",
+			len(got), b.Events, len(want), hdr.Window)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("bundle event %d = %+v, timeline %+v", i, got[i], want[i])
+		}
+	}
+}

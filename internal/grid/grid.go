@@ -349,12 +349,17 @@ func (g *LogOdds) writable(ti int) *tile {
 	}
 	if t.ref.Load() > 1 {
 		nt := newTileCopy(t)
+		g.tiles[ti] = nt
 		// Release after the copy: a peer observing the decremented count
 		// is guaranteed to see our reads complete, so its in-place writes
-		// (once it is the sole owner) cannot race the copy above.
-		t.ref.Add(-1)
-		g.tiles[ti] = nt
-		g.copied += TileCells
+		// (once it is the sole owner) cannot race the copy above. A
+		// writer that drops the count to zero was the last owner after
+		// all, and run serially it would have written in place: leaving
+		// its copy uncharged keeps the count independent of how the
+		// parallel SLAM update interleaves its writers.
+		if t.ref.Add(-1) > 0 {
+			g.copied += TileCells
+		}
 		return nt
 	}
 	return t

@@ -3,6 +3,7 @@ package grid
 import (
 	"bytes"
 	"math"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -281,6 +282,55 @@ func TestLogOddsCloneChain(t *testing.T) {
 	g.IntegrateBeam(from, 0, 2.0, true)
 	if n := g.TakeCopied(); n != 0 {
 		t.Errorf("sole-owner write copied %d cells, want 0", n)
+	}
+}
+
+// TestLogOddsConcurrentCopyCountMatchesSerial: when every owner of a
+// shared tile writes it at once, as the parallel SLAM update does, the
+// charged copies equal the serial count (one owner writes in place),
+// however the writers interleave.
+func TestLogOddsConcurrentCopyCountMatchesSerial(t *testing.T) {
+	const owners = 8
+	from := geom.V(0.35, 3.15)
+	shared := func() []*LogOdds {
+		g := NewLogOdds(64, 64, 0.1, geom.V(0, 0))
+		g.IntegrateBeam(from, 0, 2.0, true)
+		gs := make([]*LogOdds, owners)
+		for i := range gs {
+			gs[i] = g.Clone()
+		}
+		g.Release()
+		return gs
+	}
+	want := 0
+	for _, g := range shared() {
+		g.IntegrateBeam(from, 0, 2.0, true)
+		want += g.TakeCopied()
+	}
+	if want == 0 {
+		t.Fatal("serial writes copied nothing; the tiles are not shared")
+	}
+	for iter := 0; iter < 300; iter++ {
+		gs := shared()
+		var start, done sync.WaitGroup
+		start.Add(1)
+		done.Add(owners)
+		for _, g := range gs {
+			go func() {
+				defer done.Done()
+				start.Wait()
+				g.IntegrateBeam(from, 0, 2.0, true)
+			}()
+		}
+		start.Done()
+		done.Wait()
+		got := 0
+		for _, g := range gs {
+			got += g.TakeCopied()
+		}
+		if got != want {
+			t.Fatalf("iteration %d: concurrent writers charged %d copied cells, serial %d", iter, got, want)
+		}
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"context"
 	"encoding/json"
-	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -16,22 +15,6 @@ import (
 
 	"lgvoffload/internal/store"
 )
-
-// fakePagedTrace upgrades fakeTrace with paging.
-type fakePagedTrace struct {
-	fakeTrace
-	pages []string // recorded (after, limit) calls
-}
-
-func (f *fakePagedTrace) WriteJSONLPage(w io.Writer, after uint64, limit int) (int, error) {
-	f.pages = append(f.pages, fmt.Sprintf("%d/%d", after, limit))
-	n := 0
-	for id := after + 1; id <= uint64(f.n) && n < limit; id++ {
-		fmt.Fprintf(w, "{\"id\":%d}\n", id)
-		n++
-	}
-	return n, nil
-}
 
 func testStore(t *testing.T) *store.Store {
 	t.Helper()
@@ -62,7 +45,7 @@ func TestInspectorDashboardRoutes(t *testing.T) {
 	hub := NewLiveHub(0)
 	tel.Tee(hub)
 	srv := httptest.NewServer(NewInspectorWith(InspectorConfig{
-		Telemetry: tel, Trace: &fakeTrace{n: 1}, Store: s, Live: hub,
+		Telemetry: tel, Trace: tracerWith(1), Store: s, Live: hub,
 	}))
 	defer srv.Close()
 	defer hub.Close()
@@ -172,7 +155,7 @@ func TestTimelinePaging(t *testing.T) {
 }
 
 func TestSpansPaging(t *testing.T) {
-	tr := &fakePagedTrace{fakeTrace: fakeTrace{n: 2500}}
+	tr := tracerWith(2500) // span IDs 2, 4, ..., 5000
 	srv := httptest.NewServer(NewInspector(nil, tr))
 	defer srv.Close()
 
@@ -180,20 +163,12 @@ func TestSpansPaging(t *testing.T) {
 	if n := strings.Count(body, "\n"); n != DefaultSpanLimit {
 		t.Errorf("default spans page: %d lines, want %d", n, DefaultSpanLimit)
 	}
-	_, body = get(t, srv, "/spans?after=2490&limit=100")
+	_, body = get(t, srv, "/spans?after=4980&limit=100")
 	if n := strings.Count(body, "\n"); n != 10 {
-		t.Errorf("after=2490: %d lines, want 10", n)
+		t.Errorf("after=4980: %d lines, want 10", n)
 	}
-	if !strings.Contains(body, `{"id":2491}`) {
+	if !strings.Contains(body, `"id":4982,`) || strings.Contains(body, `"id":4980,`) {
 		t.Errorf("page start wrong: %q", body[:min(len(body), 120)])
-	}
-	// A non-paged TraceSource still dumps everything (interface upgrade
-	// is optional).
-	srv2 := httptest.NewServer(NewInspector(nil, &fakeTrace{n: 3}))
-	defer srv2.Close()
-	code, _ := get(t, srv2, "/spans?limit=1")
-	if code != 200 {
-		t.Errorf("unpaged fallback: %d", code)
 	}
 }
 
@@ -260,7 +235,7 @@ func TestInspectorConcurrentScrape(t *testing.T) {
 	tel.Tee(hub)
 	defer hub.Close()
 	srv := httptest.NewServer(NewInspectorWith(InspectorConfig{
-		Telemetry: tel, Trace: &fakeTrace{n: 2}, Store: s, Live: hub,
+		Telemetry: tel, Trace: tracerWith(2), Store: s, Live: hub,
 	}))
 	defer srv.Close()
 

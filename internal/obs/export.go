@@ -3,7 +3,6 @@ package obs
 import (
 	"bufio"
 	"encoding/json"
-	"expvar"
 	"io"
 )
 
@@ -59,15 +58,4 @@ func (r *Registry) snapshotMap() map[string]any {
 		}
 	}
 	return out
-}
-
-// PublishExpvar exposes the registry under the given expvar name so
-// real-socket runs serve a live snapshot from the standard /debug/vars
-// endpoint. Publishing an already-taken name is a no-op (expvar panics
-// on duplicates; repeated missions should not).
-func (r *Registry) PublishExpvar(name string) {
-	if expvar.Get(name) != nil {
-		return
-	}
-	expvar.Publish(name, expvar.Func(func() any { return r.snapshotMap() }))
 }

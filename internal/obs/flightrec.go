@@ -9,30 +9,34 @@ import (
 	"path/filepath"
 	"strings"
 	"sync"
+
+	"lgvoffload/internal/ring"
 )
 
 // Flight recorder: an always-on black box for missions. It continuously
 // captures a bounded ring of per-tick FlightFrames (VDP, energy, link
 // state, Alg. 2 placement, cumulative safety/net counters, critical-path
-// split) plus a bounded ring of timeline events (fed by Telemetry.Tee),
-// and on a trigger — watchdog stop, failover, SLO breach, invariant
-// failure, panic — freezes the last WindowSec seconds into a versioned
-// JSONL bundle, alongside the existing post-mortem. Recording is
-// allocation-free and reads only values the tick already computed, so an
-// instrumented mission stays bit-identical to a bare one.
+// split) and, on a trigger — watchdog stop, failover, SLO breach,
+// invariant failure, panic — freezes the last flightWindow seconds into
+// a versioned JSONL bundle, alongside the existing post-mortem. A bundle
+// reads its events from the mission timeline it is attached to, so it
+// carries every event of its window that the timeline still holds.
+// Recording is allocation-free and reads only values the tick already
+// computed, so an instrumented mission stays bit-identical to a bare one.
 
 // FlightVersion is the bundle format version tag.
 const FlightVersion = "lgvflight1"
 
 const (
-	defaultFlightFrames  = 4096
-	defaultFlightEvents  = 1024
-	defaultFlightWindow  = 30.0 // virtual seconds per bundle
+	flightFrames         = 4096 // frame ring capacity
+	flightWindow         = 30.0 // virtual seconds per bundle
 	defaultFlightDumps   = 16   // bundles kept per mission
 	defaultFlightSpacing = 5.0  // min virtual seconds between dumps
 )
 
-// FlightFrame is one per-tick snapshot. Counter fields are cumulative
+// FlightFrame is the engine's one per-tick view: the flight ring records
+// it, the SLO engine judges it, and the mission store's tick and the
+// trace point are projected from it. Counter fields are cumulative
 // mission totals (the reader differentiates); the critical-path split
 // (Compute/Queue/Transport) is this tick's decomposition.
 type FlightFrame struct {
@@ -45,6 +49,7 @@ type FlightFrame struct {
 	MaxVel    float64 `json:"vmax"`
 	RealVel   float64 `json:"vel"`
 	RemoteOn  int     `json:"remote_on"` // nodes currently placed remote
+	Staleness float64 `json:"staleness"` // s since the last fresh command
 
 	Sent     int `json:"sent"`     // cumulative packets offered
 	Dropped  int `json:"dropped"`  // cumulative packets lost
@@ -59,11 +64,8 @@ type FlightFrame struct {
 	Transport float64 `json:"transport"` // s, this tick
 }
 
-// FlightConfig sizes a recorder. Zero values take the defaults above.
+// FlightConfig configures a recorder. Zero values take the defaults above.
 type FlightConfig struct {
-	Frames     int     // frame ring capacity
-	Events     int     // event ring capacity
-	WindowSec  float64 // seconds of history per bundle
 	Dir        string  // when set, bundles are also written here
 	MaxDumps   int     // bundles kept per mission
 	MinSpacing float64 // min virtual seconds between rate-limited dumps
@@ -96,15 +98,12 @@ type flightHeader struct {
 }
 
 // FlightRecorder is the ring + dump machinery. A nil *FlightRecorder is
-// a valid no-op, like the rest of the obs plane. It implements Sink so
-// Telemetry.Tee can feed it events without the engine knowing.
+// a valid no-op, like the rest of the obs plane.
 type FlightRecorder struct {
 	mu     sync.Mutex
 	cfg    FlightConfig
-	frames []FlightFrame
-	head   int
-	n      int
-	events *Timeline
+	frames ring.Ring[FlightFrame]
+	events *Timeline // mission timeline bundles read events from; nil = none
 
 	dumps    []*FlightBundle
 	lastDump float64
@@ -114,26 +113,27 @@ type FlightRecorder struct {
 // NewFlightRecorder preallocates a recorder; no allocation happens on
 // the record path afterwards.
 func NewFlightRecorder(cfg FlightConfig) *FlightRecorder {
-	if cfg.Frames <= 0 {
-		cfg.Frames = defaultFlightFrames
-	}
-	if cfg.Events <= 0 {
-		cfg.Events = defaultFlightEvents
-	}
-	if cfg.WindowSec <= 0 {
-		cfg.WindowSec = defaultFlightWindow
-	}
 	if cfg.MaxDumps <= 0 {
 		cfg.MaxDumps = defaultFlightDumps
 	}
 	if cfg.MinSpacing <= 0 {
 		cfg.MinSpacing = defaultFlightSpacing
 	}
-	return &FlightRecorder{
-		cfg:    cfg,
-		frames: make([]FlightFrame, cfg.Frames),
-		events: NewTimeline(cfg.Events),
+	return &FlightRecorder{cfg: cfg, frames: ring.New[FlightFrame](flightFrames)}
+}
+
+// Attach points the recorder at the mission telemetry whose timeline
+// its bundles copy their events from; a nil t detaches it. Nil-safe.
+func (r *FlightRecorder) Attach(t *Telemetry) {
+	if r == nil {
+		return
 	}
+	r.mu.Lock()
+	r.events = nil
+	if t != nil {
+		r.events = t.Timeline
+	}
+	r.mu.Unlock()
 }
 
 // Record stores one per-tick frame. Never allocates.
@@ -142,36 +142,11 @@ func (r *FlightRecorder) Record(f FlightFrame) {
 		return
 	}
 	r.mu.Lock()
-	if r.n < len(r.frames) {
-		r.frames[(r.head+r.n)%len(r.frames)] = f
-		r.n++
-	} else {
-		r.frames[r.head] = f
-		r.head = (r.head + 1) % len(r.frames)
-	}
+	r.frames.Push(f)
 	r.mu.Unlock()
 }
 
-// Sink: the recorder keeps its own bounded event ring and ignores
-// metric updates (the Registry already holds those; frames carry the
-// per-tick values a bundle needs).
-func (r *FlightRecorder) Count(name, label string, delta float64) {}
-
-// SetGauge implements Sink as a no-op.
-func (r *FlightRecorder) SetGauge(name, label string, v float64) {}
-
-// Observe implements Sink as a no-op.
-func (r *FlightRecorder) Observe(name, label string, v float64) {}
-
-// Emit implements Sink: events mirrored off the Telemetry timeline.
-func (r *FlightRecorder) Emit(ev Event) {
-	if r == nil {
-		return
-	}
-	r.events.Append(ev)
-}
-
-// Dump freezes the last WindowSec seconds into a bundle, rate-limited:
+// Dump freezes the last flightWindow seconds into a bundle, rate-limited:
 // at most MaxDumps per mission, at least MinSpacing virtual seconds
 // apart. Returns nil when suppressed. now is virtual mission time —
 // wall clock never enters a bundle, so dumps replay bit-identically.
@@ -206,30 +181,23 @@ func (r *FlightRecorder) ForceDump(reason, detail string, now float64) *FlightBu
 }
 
 func (r *FlightRecorder) dumpLocked(reason, detail string, now float64) *FlightBundle {
-	cutoff := now - r.cfg.WindowSec
+	cutoff := now - flightWindow
 
 	var frames []FlightFrame
-	for i := 0; i < r.n; i++ {
-		f := r.frames[(r.head+i)%len(r.frames)]
-		if f.T >= cutoff && f.T <= now {
-			frames = append(frames, f)
+	for i := 0; i < r.frames.Len(); i++ {
+		if f := r.frames.At(i); f.T >= cutoff && f.T <= now {
+			frames = append(frames, *f)
 		}
 	}
 	var events []Event
-	for _, ev := range r.events.Events() {
-		t := ev.T0
-		if ev.T1 > t {
-			t = ev.T1
-		}
-		if t >= cutoff && ev.T0 <= now {
-			events = append(events, ev)
-		}
+	if r.events != nil {
+		events = r.events.Window(cutoff, now)
 	}
 
 	var buf bytes.Buffer
 	enc := json.NewEncoder(&buf)
 	hdr := flightHeader{Version: FlightVersion, Reason: reason, Detail: detail,
-		T: now, Window: r.cfg.WindowSec, Frames: len(frames), Events: len(events)}
+		T: now, Window: flightWindow, Frames: len(frames), Events: len(events)}
 	enc.Encode(hdr)
 	for i := range frames {
 		enc.Encode(struct {
@@ -281,10 +249,10 @@ func (r *FlightRecorder) LastTime() float64 {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.n == 0 {
+	if r.frames.Len() == 0 {
 		return 0
 	}
-	return r.frames[(r.head+r.n-1)%len(r.frames)].T
+	return r.frames.At(r.frames.Len() - 1).T
 }
 
 // FrameCount reports how many frames the ring currently holds.
@@ -294,7 +262,7 @@ func (r *FlightRecorder) FrameCount() int {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.n
+	return r.frames.Len()
 }
 
 // flightSanitize maps a dump reason into a filename-safe token.

@@ -9,35 +9,43 @@ import (
 )
 
 func TestFlightRecorderRingWrap(t *testing.T) {
-	r := NewFlightRecorder(FlightConfig{Frames: 8, WindowSec: 100})
-	for i := 0; i < 20; i++ {
-		r.Record(FlightFrame{T: float64(i)})
+	r := NewFlightRecorder(FlightConfig{})
+	// 1/1024 s apart, so every frame ever recorded is inside the dump
+	// window and only the ring bound can drop one.
+	n := flightFrames + 12
+	for i := 0; i < n; i++ {
+		r.Record(FlightFrame{T: float64(i) / 1024})
 	}
-	if got := r.FrameCount(); got != 8 {
-		t.Fatalf("FrameCount = %d, want 8", got)
+	last := float64(n-1) / 1024
+	if got := r.FrameCount(); got != flightFrames {
+		t.Fatalf("FrameCount = %d, want %d", got, flightFrames)
 	}
-	if got := r.LastTime(); got != 19 {
-		t.Fatalf("LastTime = %g, want 19", got)
+	if got := r.LastTime(); got != last {
+		t.Fatalf("LastTime = %g, want %g", got, last)
 	}
-	b := r.ForceDump("test", "", 19)
+	b := r.ForceDump("test", "", last)
 	if b == nil {
 		t.Fatal("ForceDump returned nil")
 	}
-	// The ring holds the newest 8 frames: t=12..19.
-	if b.Frames != 8 {
-		t.Fatalf("bundle has %d frames, want 8", b.Frames)
+	// The ring holds the newest flightFrames frames: the first 12 are gone.
+	if b.Frames != flightFrames {
+		t.Fatalf("bundle has %d frames, want %d", b.Frames, flightFrames)
+	}
+	if !bytes.Contains(b.Data, []byte(`{"frame":{"t":0.01171875,`)) ||
+		bytes.Contains(b.Data, []byte(`{"frame":{"t":0.0107421875,`)) {
+		t.Error("bundle does not start at the 13th frame")
 	}
 	info, err := VerifyFlightBundle(b.Data)
 	if err != nil {
 		t.Fatalf("bundle fails verification: %v", err)
 	}
-	if info.Frames != 8 || info.Reason != "test" || info.T != 19 {
+	if info.Frames != flightFrames || info.Reason != "test" || info.T != last {
 		t.Errorf("verified info %+v", info)
 	}
 }
 
 func TestFlightDumpWindow(t *testing.T) {
-	r := NewFlightRecorder(FlightConfig{Frames: 64, WindowSec: 5})
+	r := NewFlightRecorder(FlightConfig{})
 	for i := 0; i < 50; i++ {
 		r.Record(FlightFrame{T: float64(i)})
 	}
@@ -45,9 +53,9 @@ func TestFlightDumpWindow(t *testing.T) {
 	if b == nil {
 		t.Fatal("Dump returned nil")
 	}
-	// Only the last WindowSec seconds: t in [44, 49].
-	if b.Frames != 6 {
-		t.Fatalf("bundle has %d frames, want 6 (t=44..49)", b.Frames)
+	// Only the last flightWindow seconds: t in [19, 49].
+	if b.Frames != 31 {
+		t.Fatalf("bundle has %d frames, want 31 (t=19..49)", b.Frames)
 	}
 	if _, err := VerifyFlightBundle(b.Data); err != nil {
 		t.Fatal(err)
@@ -96,25 +104,24 @@ func TestFlightDumpAtVirtualZero(t *testing.T) {
 
 func TestFlightDumpEventsAndFile(t *testing.T) {
 	dir := t.TempDir()
-	r := NewFlightRecorder(FlightConfig{WindowSec: 10, Dir: dir})
-	for i := 0; i < 30; i++ {
+	r := NewFlightRecorder(FlightConfig{Dir: dir})
+	for i := 0; i < 60; i++ {
 		r.Record(FlightFrame{T: float64(i)})
 	}
-	// Feed events through the Sink face, as Telemetry.Tee would.
-	var s Sink = r
-	s.Emit(Event{Kind: KindFault, T0: 2, T1: 3})    // outside window at t=29
-	s.Emit(Event{Kind: KindSwitch, T0: 25, T1: 25}) // inside
-	s.Emit(Event{Kind: KindFault, T0: 18, T1: 22})  // straddles the cutoff: kept
-	s.Count("x", "", 1)                             // metric no-ops must not panic
-	s.SetGauge("x", "", 1)
-	s.Observe("x", "", 1)
+	// Bundles read their events from the attached mission timeline.
+	tel := NewTelemetry(0)
+	r.Attach(tel)
+	tel.Emit(Event{Kind: KindFault, T0: 2, T1: 3})    // ends before the window at t=59
+	tel.Emit(Event{Kind: KindSwitch, T0: 55, T1: 55}) // inside
+	tel.Emit(Event{Kind: KindFault, T0: 28, T1: 32})  // straddles the cutoff: kept
+	tel.Emit(Event{Kind: KindProbe, T0: 60, T1: 60})  // starts after the dump
 
-	b := r.Dump("slo:test", "detail here", 29)
+	b := r.Dump("slo:test", "detail here", 59)
 	if b == nil {
 		t.Fatal("dump failed")
 	}
 	if b.Events != 2 {
-		t.Fatalf("bundle has %d events, want 2 (one outside the window)", b.Events)
+		t.Fatalf("bundle has %d events, want 2 (two outside the window)", b.Events)
 	}
 	if b.WriteErr != "" {
 		t.Fatalf("write error: %s", b.WriteErr)
@@ -140,7 +147,7 @@ func TestFlightDumpEventsAndFile(t *testing.T) {
 func TestFlightRecorderNil(t *testing.T) {
 	var r *FlightRecorder
 	r.Record(FlightFrame{T: 1})
-	r.Emit(Event{})
+	r.Attach(NewTelemetry(1))
 	if r.Dump("x", "", 1) != nil || r.ForceDump("x", "", 1) != nil {
 		t.Error("nil recorder dumped")
 	}
@@ -151,10 +158,12 @@ func TestFlightRecorderNil(t *testing.T) {
 
 func TestVerifyFlightBundleRejects(t *testing.T) {
 	valid := func() []byte {
-		r := NewFlightRecorder(FlightConfig{WindowSec: 10})
+		r := NewFlightRecorder(FlightConfig{})
+		tel := NewTelemetry(0)
+		r.Attach(tel)
 		r.Record(FlightFrame{T: 1})
 		r.Record(FlightFrame{T: 2})
-		r.Emit(Event{Kind: KindFault, T0: 2, T1: 2})
+		tel.Emit(Event{Kind: KindFault, T0: 2, T1: 2})
 		return r.Dump("ok", "", 2).Data
 	}()
 	if _, err := VerifyFlightBundle(valid); err != nil {
@@ -190,11 +199,13 @@ func TestVerifyFlightBundleRejects(t *testing.T) {
 
 func TestFlightDumpDeterministic(t *testing.T) {
 	build := func() []byte {
-		r := NewFlightRecorder(FlightConfig{WindowSec: 30})
+		r := NewFlightRecorder(FlightConfig{})
+		tel := NewTelemetry(0)
+		r.Attach(tel)
 		for i := 0; i < 100; i++ {
 			r.Record(FlightFrame{T: float64(i) * 0.2, VDP: 0.04, EnergyJ: float64(i), Sent: i})
 			if i%10 == 0 {
-				r.Emit(Event{Kind: KindTick, T0: float64(i) * 0.2, Value: float64(i)})
+				tel.Emit(Event{Kind: KindTick, T0: float64(i) * 0.2, Value: float64(i)})
 			}
 		}
 		return r.Dump("det", "", 19.8).Data

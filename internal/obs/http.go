@@ -9,31 +9,9 @@ import (
 	"net/http/pprof"
 	"strconv"
 
+	"lgvoffload/internal/spans"
 	"lgvoffload/internal/store"
 )
-
-// TraceSource is what the inspector needs from the tracing layer
-// (satisfied by *spans.Tracer; obs must not import spans). All three
-// methods must be nil-receiver-safe, matching the rest of the
-// observability surface.
-type TraceSource interface {
-	// WriteChrome writes the buffered spans as Chrome trace-event JSON.
-	WriteChrome(w io.Writer) error
-	// WriteJSONL writes the buffered spans one JSON object per line.
-	WriteJSONL(w io.Writer) error
-	// Len reports how many spans are buffered.
-	Len() int
-}
-
-// PagedTraceSource is the optional paging upgrade of TraceSource
-// (satisfied by *spans.Tracer). When the trace source implements it,
-// /spans serves bounded pages instead of the full buffer.
-type PagedTraceSource interface {
-	TraceSource
-	// WriteJSONLPage writes up to limit spans with ID > after, ascending
-	// by ID, and returns the count written.
-	WriteJSONLPage(w io.Writer, after uint64, limit int) (int, error)
-}
 
 // Response-size bounds for the JSON/JSONL routes: a multi-hour mission
 // must not turn one scrape into an unbounded body. Clients page with
@@ -52,9 +30,8 @@ const (
 type InspectorConfig struct {
 	// Telemetry serves /metrics and /timeline.
 	Telemetry *Telemetry
-	// Trace serves /trace and /spans; implement PagedTraceSource to get
-	// bounded /spans pages.
-	Trace TraceSource
+	// Trace serves /trace and /spans.
+	Trace *spans.Tracer
 	// Store serves the fleet dashboard: /missions, /missions/{id},
 	// /fleet and /dash read mission history from it.
 	Store *store.Store
@@ -68,7 +45,7 @@ type InspectorConfig struct {
 // NewInspector returns the live inspection endpoint with telemetry and
 // tracing only — the pre-dashboard surface, kept for callers that have
 // no mission store. See NewInspectorWith.
-func NewInspector(t *Telemetry, trace TraceSource) http.Handler {
+func NewInspector(t *Telemetry, trace *spans.Tracer) http.Handler {
 	return NewInspectorWith(InspectorConfig{Telemetry: t, Trace: trace})
 }
 
@@ -208,12 +185,8 @@ func NewInspectorWith(cfg InspectorConfig) http.Handler {
 			http.Error(w, "tracing disabled", http.StatusNotFound)
 			return
 		}
-		if paged, ok := trace.(PagedTraceSource); ok {
-			after, _ := pageAfter(r)
-			paged.WriteJSONLPage(w, after, pageLimit(r, DefaultSpanLimit))
-			return
-		}
-		trace.WriteJSONL(w)
+		after, _ := pageAfter(r)
+		trace.WriteJSONLPage(w, after, pageLimit(r, DefaultSpanLimit))
 	})
 
 	mux.HandleFunc("/missions", func(w http.ResponseWriter, r *http.Request) {

@@ -5,20 +5,19 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+
+	"lgvoffload/internal/spans"
 )
 
-// fakeTrace satisfies TraceSource for inspector tests.
-type fakeTrace struct{ n int }
-
-func (f *fakeTrace) WriteChrome(w io.Writer) error {
-	_, err := io.WriteString(w, `{"traceEvents":[]}`)
-	return err
+// tracerWith returns a tracer holding n one-span tick traces; span IDs
+// run 2, 4, ..., 2n (each trace id takes the odd one before it).
+func tracerWith(n int) *spans.Tracer {
+	tr := spans.NewTracer(0)
+	for i := 0; i < n; i++ {
+		tr.Add(tr.NewTrace(), 0, "tick", "lgv", "", spans.Tick, float64(i), float64(i)+0.1)
+	}
+	return tr
 }
-func (f *fakeTrace) WriteJSONL(w io.Writer) error {
-	_, err := io.WriteString(w, "{\"name\":\"tick\"}\n")
-	return err
-}
-func (f *fakeTrace) Len() int { return f.n }
 
 func get(t *testing.T, h *httptest.Server, path string) (int, string) {
 	t.Helper()
@@ -34,7 +33,7 @@ func get(t *testing.T, h *httptest.Server, path string) (int, string) {
 func TestInspectorRoutes(t *testing.T) {
 	tel := NewTelemetry(16)
 	tel.Drop(1.0, "scan", "uplink")
-	srv := httptest.NewServer(NewInspector(tel, &fakeTrace{n: 3}))
+	srv := httptest.NewServer(NewInspector(tel, tracerWith(3)))
 	defer srv.Close()
 
 	code, body := get(t, srv, "/")

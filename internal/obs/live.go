@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"net/http"
 	"sync"
+
+	"lgvoffload/internal/ring"
 )
 
 // LiveHub fans mission telemetry out to Server-Sent-Events subscribers:
@@ -14,17 +16,13 @@ import (
 // late subscribers the most recent frames so a scrape right after a
 // mission finishes still sees events.
 //
-// LiveHub implements Sink: metrics calls are no-ops (scrape /metrics
-// for those); only Emit broadcasts. A slow subscriber never blocks the
-// producer — its queue overflows and frames are counted as dropped for
-// that subscriber only.
+// A slow subscriber never blocks the producer — its queue overflows and
+// frames are counted as dropped for that subscriber only.
 type LiveHub struct {
 	mu      sync.Mutex
 	subs    map[chan []byte]*subState
-	ring    [][]byte // recent frames, oldest first
-	ringCap int
-	seq     uint64
-	dropped uint64 // frames dropped across all subscribers, ever
+	replay  ring.Ring[[]byte] // recent frames
+	dropped uint64            // frames dropped across all subscribers, ever
 	closed  bool
 }
 
@@ -43,19 +41,10 @@ func NewLiveHub(replayCap int) *LiveHub {
 	if replayCap <= 0 {
 		replayCap = defaultReplay
 	}
-	return &LiveHub{subs: make(map[chan []byte]*subState), ringCap: replayCap}
+	return &LiveHub{subs: make(map[chan []byte]*subState), replay: ring.New[[]byte](replayCap)}
 }
 
-// Count implements Sink (no-op; the hub streams events, not metrics).
-func (h *LiveHub) Count(name, label string, delta float64) {}
-
-// SetGauge implements Sink (no-op).
-func (h *LiveHub) SetGauge(name, label string, v float64) {}
-
-// Observe implements Sink (no-op).
-func (h *LiveHub) Observe(name, label string, v float64) {}
-
-// Emit implements Sink: render the event as one SSE frame and broadcast.
+// Emit renders the event as one SSE frame and broadcasts it.
 func (h *LiveHub) Emit(ev Event) {
 	if h == nil {
 		return
@@ -80,13 +69,7 @@ func (h *LiveHub) Publish(event string, data []byte) {
 		h.mu.Unlock()
 		return
 	}
-	h.seq++
-	if len(h.ring) >= h.ringCap {
-		copy(h.ring, h.ring[1:])
-		h.ring[len(h.ring)-1] = frame
-	} else {
-		h.ring = append(h.ring, frame)
-	}
+	h.replay.Push(frame)
 	for ch, st := range h.subs {
 		select {
 		case ch <- frame:
@@ -103,7 +86,7 @@ func (h *LiveHub) Publish(event string, data []byte) {
 func (h *LiveHub) subscribe() (chan []byte, [][]byte) {
 	ch := make(chan []byte, subQueueCap)
 	h.mu.Lock()
-	replay := append([][]byte(nil), h.ring...)
+	replay := h.replay.AppendTo(nil)
 	if !h.closed {
 		h.subs[ch] = &subState{}
 	} else {

@@ -35,6 +35,12 @@ type Sink interface {
 	Emit(ev Event)
 }
 
+// EventSink receives every event a Telemetry emits once its timeline
+// holds it; attach one with Telemetry.Tee.
+type EventSink interface {
+	Emit(ev Event)
+}
+
 // Metric names used by the instrumented subsystems. Labels in comments.
 const (
 	// MNodeExecSeconds histograms per-node execution time. Label: node.
@@ -147,16 +153,16 @@ type Telemetry struct {
 	mu    sync.Mutex
 	phase string
 
-	// tee holds the optional secondary Sinks (a teeBox) every emitted
-	// event is forwarded to — the live SSE hub and the flight recorder
-	// attach here. An atomic keeps the common no-tee path at one load,
-	// no lock; attachment is copy-on-write under mu.
+	// tee holds the optional EventSinks (a teeBox) every emitted event
+	// is forwarded to — the live SSE hub attaches here. An atomic keeps
+	// the common no-tee path at one load, no lock; attachment is
+	// copy-on-write under mu.
 	tee atomic.Value
 }
 
-// teeBox wraps the teed Sinks so atomic.Value always stores one
+// teeBox wraps the teed sinks so atomic.Value always stores one
 // concrete type (and can represent "detached" as a box holding nil).
-type teeBox struct{ sinks []Sink }
+type teeBox struct{ sinks []EventSink }
 
 // NewTelemetry builds an enabled telemetry sink whose timeline holds at
 // most eventCap events (<= 0 means DefaultTimelineCap).
@@ -212,10 +218,9 @@ func (t *Telemetry) Observe(name, label string, v float64) {
 }
 
 // Tee forwards every subsequently emitted event to s as well as the
-// timeline. Multiple sinks may attach (the live SSE hub and the flight
-// recorder both do); each call appends, copy-on-write, and Tee(nil)
-// detaches all. Nil-safe.
-func (t *Telemetry) Tee(s Sink) {
+// timeline. Multiple sinks may attach; each call appends, copy-on-write,
+// and Tee(nil) detaches all. Nil-safe.
+func (t *Telemetry) Tee(s EventSink) {
 	if t == nil {
 		return
 	}
@@ -225,7 +230,7 @@ func (t *Telemetry) Tee(s Sink) {
 		t.tee.Store(teeBox{})
 		return
 	}
-	var sinks []Sink
+	var sinks []EventSink
 	if box, ok := t.tee.Load().(teeBox); ok {
 		sinks = append(sinks, box.sinks...)
 	}

@@ -6,10 +6,10 @@ import (
 	"sync"
 )
 
-// DefaultSecondsBuckets are the histogram bounds used when no custom
-// bounds are registered: exponential-ish coverage from 1 ms to 10 s,
-// matching the latency range of everything the mission engine profiles
-// (node processing times, probe RTTs, link latencies).
+// DefaultSecondsBuckets are the registry's histogram bounds:
+// exponential-ish coverage from 1 ms to 10 s, matching the latency range
+// of everything the mission engine profiles (node processing times,
+// probe RTTs, link latencies).
 var DefaultSecondsBuckets = []float64{
 	0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10,
 }
@@ -186,31 +186,19 @@ type MetricPoint struct {
 // label is a single dimension value (node name, host, topic); metrics
 // that need none pass "".
 type Registry struct {
-	mu         sync.Mutex
-	counters   map[string]map[string]*Counter
-	gauges     map[string]map[string]*Gauge
-	hists      map[string]map[string]*Histogram
-	histBounds map[string][]float64
+	mu       sync.Mutex
+	counters map[string]map[string]*Counter
+	gauges   map[string]map[string]*Gauge
+	hists    map[string]map[string]*Histogram
 }
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
 	return &Registry{
-		counters:   make(map[string]map[string]*Counter),
-		gauges:     make(map[string]map[string]*Gauge),
-		hists:      make(map[string]map[string]*Histogram),
-		histBounds: make(map[string][]float64),
+		counters: make(map[string]map[string]*Counter),
+		gauges:   make(map[string]map[string]*Gauge),
+		hists:    make(map[string]map[string]*Histogram),
 	}
-}
-
-// SetHistogramBounds registers custom bucket bounds for histograms of the
-// given name created after this call.
-func (r *Registry) SetHistogramBounds(name string, bounds []float64) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	b := make([]float64, len(bounds))
-	copy(b, bounds)
-	r.histBounds[name] = b
 }
 
 // Counter returns the counter for name+label, creating it on first use.
@@ -248,7 +236,7 @@ func (r *Registry) Gauge(name, label string) *Gauge {
 }
 
 // Histogram returns the histogram for name+label, creating it on first
-// use with the bounds registered for the name (or the defaults).
+// use with DefaultSecondsBuckets.
 func (r *Registry) Histogram(name, label string) *Histogram {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -259,7 +247,7 @@ func (r *Registry) Histogram(name, label string) *Histogram {
 	}
 	h, ok := byLabel[label]
 	if !ok {
-		h = NewHistogram(r.histBounds[name])
+		h = NewHistogram(nil)
 		byLabel[label] = h
 	}
 	return h

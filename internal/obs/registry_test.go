@@ -197,12 +197,3 @@ func TestRegistrySnapshotTotalOrder(t *testing.T) {
 		}
 	}
 }
-
-func TestRegistryCustomBounds(t *testing.T) {
-	r := NewRegistry()
-	r.SetHistogramBounds("sz", []float64{100, 1000})
-	h := r.Histogram("sz", "")
-	if b := h.Bounds(); len(b) != 2 || b[1] != 1000 {
-		t.Errorf("bounds = %v", b)
-	}
-}

@@ -6,6 +6,8 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+
+	"lgvoffload/internal/ring"
 )
 
 // SLO engine: declarative service-level rules evaluated live, every
@@ -40,11 +42,11 @@ const (
 )
 
 const (
-	sloDefaultWarmup = 5.0  // s of virtual time before rules arm
-	sloSustainN      = 3    // consecutive bad samples to open a breach
-	sloClearN        = 3    // consecutive good samples to close it
-	sloEWMAAlpha     = 0.05 // baseline smoothing
-	sloHistoryCap    = 256  // bounded breach history
+	sloWarmup     = 5.0  // s of virtual time before rules arm
+	sloSustainN   = 3    // consecutive bad samples to open a breach
+	sloClearN     = 3    // consecutive good samples to close it
+	sloEWMAAlpha  = 0.05 // baseline smoothing
+	sloHistoryCap = 256  // bounded breach history
 )
 
 // SLORule is one parsed service-level rule.
@@ -66,18 +68,6 @@ func (r SLORule) String() string {
 		strconv.FormatFloat(r.Window, 'g', -1, 64))
 }
 
-// SLOSample is the per-tick input to the engine: current virtual time
-// plus the handful of mission stats the rule metrics derive from.
-// Energy and handoffs are cumulative; the engine differentiates them
-// over each rule's window.
-type SLOSample struct {
-	T         float64 // virtual time (s)
-	VDP       float64 // this tick's end-to-end pipeline latency (s)
-	EnergyJ   float64 // cumulative robot energy (J)
-	Staleness float64 // current command staleness (s)
-	Handoffs  int     // cumulative WAP handoff count
-}
-
 // Breach records one rule transition into the breached state.
 type Breach struct {
 	T      float64 `json:"t"`
@@ -96,52 +86,8 @@ type HealthStatus struct {
 	Open     []string `json:"open,omitempty"`
 }
 
-// sloRing is a grow-once circular buffer of (t, v) pairs. Capacity
-// doubles until the window is covered, then the steady state allocates
-// nothing.
-type sloRing struct {
-	t, v []float64
-	head int // index of oldest
-	n    int
-}
-
-func (r *sloRing) push(t, v float64) {
-	if r.n == len(r.t) {
-		grown := 2 * len(r.t)
-		if grown < 64 {
-			grown = 64
-		}
-		nt := make([]float64, grown)
-		nv := make([]float64, grown)
-		for i := 0; i < r.n; i++ {
-			nt[i] = r.t[(r.head+i)%len(r.t)]
-			nv[i] = r.v[(r.head+i)%len(r.t)]
-		}
-		r.t, r.v, r.head = nt, nv, 0
-	}
-	i := (r.head + r.n) % len(r.t)
-	r.t[i], r.v[i] = t, v
-	r.n++
-}
-
-// evict drops samples older than cutoff but always keeps the newest.
-func (r *sloRing) evict(cutoff float64) {
-	for r.n > 1 && r.t[r.head] < cutoff {
-		r.head = (r.head + 1) % len(r.t)
-		r.n--
-	}
-}
-
-func (r *sloRing) oldest() (float64, float64) { return r.t[r.head], r.v[r.head] }
-
-func (r *sloRing) newest() (float64, float64) {
-	i := (r.head + r.n - 1) % len(r.t)
-	return r.t[i], r.v[i]
-}
-
 type sloRuleState struct {
 	rule SLORule
-	ring sloRing
 	ewma float64
 	seen bool // ewma initialized
 	bad  int  // consecutive violating samples
@@ -149,38 +95,33 @@ type sloRuleState struct {
 	open bool
 }
 
-// SLOEngine evaluates a rule set against per-tick samples. The zero
+// SLOEngine evaluates a rule set against per-tick frames. The zero
 // value is unusable; construct with NewSLOEngine. A nil *SLOEngine is a
 // valid no-op (Observe returns nil, Health reports healthy), matching
 // the rest of the obs plane.
 type SLOEngine struct {
-	mu      sync.Mutex
-	rules   []sloRuleState
-	warmup  float64
+	mu    sync.Mutex
+	rules []sloRuleState
+	// window holds the frames of the last span seconds, the longest
+	// rule window, plus always the newest frame. It has no count bound,
+	// so it grows until the window fits and then allocates nothing.
+	window  ring.Ring[FlightFrame]
+	span    float64
 	samples int64
 	history []Breach
 	scratch []float64 // reused p99 sort buffer
 }
 
 // NewSLOEngine builds an engine over the given rules. Rules arm after
-// sloDefaultWarmup seconds of virtual time so start-of-mission
-// transients (staleness measured from t=0, empty windows) don't fire.
+// sloWarmup seconds of virtual time so start-of-mission transients
+// (staleness measured from t=0, empty windows) don't fire.
 func NewSLOEngine(rules []SLORule) *SLOEngine {
-	e := &SLOEngine{warmup: sloDefaultWarmup}
+	e := &SLOEngine{}
 	for _, r := range rules {
 		e.rules = append(e.rules, sloRuleState{rule: r})
+		e.span = max(e.span, r.Window)
 	}
 	return e
-}
-
-// SetWarmup overrides the arming delay (seconds of virtual time).
-func (e *SLOEngine) SetWarmup(sec float64) {
-	if e == nil {
-		return
-	}
-	e.mu.Lock()
-	e.warmup = sec
-	e.mu.Unlock()
 }
 
 // Rules returns a copy of the configured rules.
@@ -197,20 +138,23 @@ func (e *SLOEngine) Rules() []SLORule {
 	return out
 }
 
-// Observe feeds one tick sample and returns the breaches (closed→open
+// Observe feeds one tick's frame and returns the breaches (closed→open
 // transitions) it caused, or nil — the common case — with zero
-// allocations once the windows are warm.
-func (e *SLOEngine) Observe(s SLOSample) []Breach {
+// allocations once the window is warm. Frames must arrive in time
+// order.
+func (e *SLOEngine) Observe(f FlightFrame) []Breach {
 	if e == nil {
 		return nil
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	e.samples++
+	e.window.Push(f)
+	e.window.DropFront(e.since(f.T - e.span))
 	var out []Breach
 	for i := range e.rules {
 		st := &e.rules[i]
-		stat, ok := e.eval(st, s)
+		stat, ok := e.eval(st.rule, f.T)
 		if !ok {
 			continue
 		}
@@ -223,13 +167,13 @@ func (e *SLOEngine) Observe(s SLOSample) []Breach {
 			limit = st.rule.Threshold * st.ewma
 			st.ewma += sloEWMAAlpha * (stat - st.ewma)
 		}
-		violating := stat > limit && s.T >= e.warmup
+		violating := stat > limit && f.T >= sloWarmup
 		if violating {
 			st.bad++
 			st.good = 0
 			if !st.open && st.bad >= sloSustainN {
 				st.open = true
-				b := Breach{T: s.T, Rule: st.rule.String(), Metric: st.rule.Metric, Value: stat, Limit: limit}
+				b := Breach{T: f.T, Rule: st.rule.String(), Metric: st.rule.Metric, Value: stat, Limit: limit}
 				out = append(out, b)
 				if len(e.history) < sloHistoryCap {
 					e.history = append(e.history, b)
@@ -249,50 +193,45 @@ func (e *SLOEngine) Observe(s SLOSample) []Breach {
 	return out
 }
 
-// eval pushes the sample into the rule's window and computes its stat.
-// ok is false while the window lacks enough data for the metric.
-func (e *SLOEngine) eval(st *sloRuleState, s SLOSample) (stat float64, ok bool) {
-	r := &st.ring
-	switch st.rule.Metric {
+// since returns the index of the oldest window frame at or after
+// cutoff, but never past the newest frame.
+func (e *SLOEngine) since(cutoff float64) int {
+	return sort.Search(e.window.Len()-1, func(i int) bool { return e.window.At(i).T >= cutoff })
+}
+
+// eval computes the rule's stat over the frames of its own window, the
+// part of the shared window at or after now - r.Window. ok is false
+// while that part lacks enough data for the metric.
+func (e *SLOEngine) eval(r SLORule, now float64) (stat float64, ok bool) {
+	first, last := e.since(now-r.Window), e.window.Len()-1
+	switch r.Metric {
 	case SLOVdpP99:
-		r.push(s.T, s.VDP)
-		r.evict(s.T - st.rule.Window)
-		if cap(e.scratch) < r.n {
-			e.scratch = make([]float64, 0, 2*r.n)
-		}
-		e.scratch = e.scratch[:r.n]
-		for i := 0; i < r.n; i++ {
-			e.scratch[i] = r.v[(r.head+i)%len(r.v)]
+		e.scratch = e.scratch[:0]
+		for i := first; i <= last; i++ {
+			e.scratch = append(e.scratch, e.window.At(i).VDP)
 		}
 		sort.Float64s(e.scratch)
 		// nearest-rank p99
-		idx := (99*r.n + 99) / 100
-		if idx > r.n {
-			idx = r.n
-		}
-		return e.scratch[idx-1], true
+		n := len(e.scratch)
+		return e.scratch[min((99*n+99)/100, n)-1], true
 	case SLOEnergyRate:
-		r.push(s.T, s.EnergyJ)
-		r.evict(s.T - st.rule.Window)
-		t0, v0 := r.oldest()
-		t1, v1 := r.newest()
-		if t1 <= t0 {
-			return 0, false
-		}
-		return (v1 - v0) / (t1 - t0), true
+		f0, f1 := e.window.At(first), e.window.At(last)
+		return sloRate(f0.T, f0.EnergyJ, f1.T, f1.EnergyJ)
 	case SLOStaleness:
-		return s.Staleness, true
+		return e.window.At(last).Staleness, true
 	case SLOHandoffRate:
-		r.push(s.T, float64(s.Handoffs))
-		r.evict(s.T - st.rule.Window)
-		t0, v0 := r.oldest()
-		t1, v1 := r.newest()
-		if t1 <= t0 {
-			return 0, false
-		}
-		return (v1 - v0) / (t1 - t0), true
+		f0, f1 := e.window.At(first), e.window.At(last)
+		return sloRate(f0.T, float64(f0.Handoffs), f1.T, float64(f1.Handoffs))
 	}
 	return 0, false
+}
+
+// sloRate differentiates a cumulative counter between two frames.
+func sloRate(t0, v0, t1, v1 float64) (float64, bool) {
+	if t1 <= t0 {
+		return 0, false
+	}
+	return (v1 - v0) / (t1 - t0), true
 }
 
 // Breaches returns the bounded breach history.

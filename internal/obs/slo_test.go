@@ -1,6 +1,9 @@
 package obs
 
 import (
+	"math"
+	"math/rand"
+	"sort"
 	"strings"
 	"testing"
 )
@@ -72,9 +75,9 @@ func TestParseSLORules(t *testing.T) {
 	}
 }
 
-// feed pushes n ticks dt apart starting at t0, with a constant sample
+// feed pushes n ticks dt apart starting at t0, with a constant frame
 // mutator, and returns all breaches raised.
-func feed(e *SLOEngine, t0, dt float64, n int, f func(t float64) SLOSample) []Breach {
+func feed(e *SLOEngine, t0, dt float64, n int, f func(t float64) FlightFrame) []Breach {
 	var out []Breach
 	for i := 0; i < n; i++ {
 		tt := t0 + float64(i)*dt
@@ -88,8 +91,8 @@ func TestSLOBudgetBreachAndClear(t *testing.T) {
 	e := NewSLOEngine(rules)
 
 	// Healthy warm-up: below threshold, past the warmup gate.
-	if b := feed(e, 0, 0.2, 50, func(tt float64) SLOSample {
-		return SLOSample{T: tt, Staleness: 0.2}
+	if b := feed(e, 0, 0.2, 50, func(tt float64) FlightFrame {
+		return FlightFrame{T: tt, Staleness: 0.2}
 	}); len(b) != 0 {
 		t.Fatalf("healthy run raised %d breaches: %+v", len(b), b)
 	}
@@ -98,17 +101,17 @@ func TestSLOBudgetBreachAndClear(t *testing.T) {
 	}
 
 	// One bad sample is noise, not a breach (sustain count is 3).
-	if b := e.Observe(SLOSample{T: 10.0, Staleness: 5}); len(b) != 0 {
+	if b := e.Observe(FlightFrame{T: 10.0, Staleness: 5}); len(b) != 0 {
 		t.Fatalf("single bad sample opened a breach: %+v", b)
 	}
-	if b := e.Observe(SLOSample{T: 10.2, Staleness: 0.2}); len(b) != 0 {
+	if b := e.Observe(FlightFrame{T: 10.2, Staleness: 0.2}); len(b) != 0 {
 		t.Fatal("breach after recovery")
 	}
 
 	// Three consecutive bad samples open exactly one breach, and holding
 	// the violation does not re-raise it.
-	b := feed(e, 11, 0.2, 6, func(tt float64) SLOSample {
-		return SLOSample{T: tt, Staleness: 5}
+	b := feed(e, 11, 0.2, 6, func(tt float64) FlightFrame {
+		return FlightFrame{T: tt, Staleness: 5}
 	})
 	if len(b) != 1 {
 		t.Fatalf("sustained violation raised %d breaches, want 1: %+v", len(b), b)
@@ -126,11 +129,11 @@ func TestSLOBudgetBreachAndClear(t *testing.T) {
 
 	// Three good samples clear it; a later sustained violation is a new
 	// breach (history grows to 2).
-	feed(e, 13, 0.2, 3, func(tt float64) SLOSample { return SLOSample{T: tt, Staleness: 0.1} })
+	feed(e, 13, 0.2, 3, func(tt float64) FlightFrame { return FlightFrame{T: tt, Staleness: 0.1} })
 	if h := e.Health(); !h.Healthy {
 		t.Fatalf("breach did not clear: %+v", h)
 	}
-	b = feed(e, 14, 0.2, 3, func(tt float64) SLOSample { return SLOSample{T: tt, Staleness: 9} })
+	b = feed(e, 14, 0.2, 3, func(tt float64) FlightFrame { return FlightFrame{T: tt, Staleness: 9} })
 	if len(b) != 1 {
 		t.Fatalf("re-breach raised %d, want 1", len(b))
 	}
@@ -144,24 +147,23 @@ func TestSLOWarmupGate(t *testing.T) {
 	e := NewSLOEngine(rules)
 	// Violating from t=0, but nothing may open before the warmup.
 	for i := 0; i < 20; i++ {
-		tt := float64(i) * 0.2 // 0 .. 3.8 < default warmup 5
-		if b := e.Observe(SLOSample{T: tt, Staleness: 99}); len(b) != 0 {
+		tt := float64(i) * 0.2 // 0 .. 3.8 < warmup 5
+		if b := e.Observe(FlightFrame{T: tt, Staleness: 99}); len(b) != 0 {
 			t.Fatalf("breach at t=%.1f inside warmup", tt)
 		}
 	}
-	e2 := NewSLOEngine(rules)
-	e2.SetWarmup(0)
-	if b := feed(e2, 0.2, 0.2, 3, func(tt float64) SLOSample {
-		return SLOSample{T: tt, Staleness: 99}
-	}); len(b) != 1 {
-		t.Fatalf("warmup 0: got %d breaches, want 1", len(b))
+	// From the warmup on, the same violation counts: three armed
+	// samples open exactly one breach.
+	if b := feed(e, sloWarmup, 0.2, 3, func(tt float64) FlightFrame {
+		return FlightFrame{T: tt, Staleness: 99}
+	}); len(b) != 1 || b[0].T != sloWarmup+0.4 {
+		t.Fatalf("armed violation: got %+v, want one breach at t=%g", b, sloWarmup+0.4)
 	}
 }
 
 func TestSLOVdpP99Window(t *testing.T) {
 	rules, _ := ParseSLORules("vdp_p99<=0.5@10s")
 	e := NewSLOEngine(rules)
-	e.SetWarmup(0)
 	// 99 fast ticks and 1 slow one: p99 over the window picks up the
 	// tail sample, and three sustained windows open the breach.
 	var got []Breach
@@ -171,7 +173,7 @@ func TestSLOVdpP99Window(t *testing.T) {
 		if i >= 150 { // tail latency appears late and persists
 			v = 2.0
 		}
-		got = append(got, e.Observe(SLOSample{T: tt, VDP: v})...)
+		got = append(got, e.Observe(FlightFrame{T: tt, VDP: v})...)
 	}
 	if len(got) != 1 {
 		t.Fatalf("got %d breaches, want 1", len(got))
@@ -188,7 +190,6 @@ func TestSLOEnergyRateEWMA(t *testing.T) {
 	// jump faster than the baseline adapts.
 	rules, _ := ParseSLORules("energy_rate~2@2s")
 	e := NewSLOEngine(rules)
-	e.SetWarmup(0)
 
 	// Steady 10 J/s draw establishes the baseline...
 	energy := 0.0
@@ -196,7 +197,7 @@ func TestSLOEnergyRateEWMA(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		tt := float64(i) * 0.2
 		energy += 2.0 // 10 J/s
-		breaches = append(breaches, e.Observe(SLOSample{T: tt, EnergyJ: energy})...)
+		breaches = append(breaches, e.Observe(FlightFrame{T: tt, EnergyJ: energy})...)
 	}
 	if len(breaches) != 0 {
 		t.Fatalf("steady draw breached the anomaly rule: %+v", breaches)
@@ -205,7 +206,7 @@ func TestSLOEnergyRateEWMA(t *testing.T) {
 	for i := 100; i < 160; i++ {
 		tt := float64(i) * 0.2
 		energy += 10.0 // 50 J/s
-		breaches = append(breaches, e.Observe(SLOSample{T: tt, EnergyJ: energy})...)
+		breaches = append(breaches, e.Observe(FlightFrame{T: tt, EnergyJ: energy})...)
 	}
 	if len(breaches) != 1 {
 		t.Fatalf("5x draw surge raised %d breaches, want 1: %+v", len(breaches), breaches)
@@ -215,10 +216,9 @@ func TestSLOEnergyRateEWMA(t *testing.T) {
 func TestSLOHandoffRate(t *testing.T) {
 	rules, _ := ParseSLORules("handoff_rate<=0.5@10s")
 	e := NewSLOEngine(rules)
-	e.SetWarmup(0)
 	// A handoff every tick (5/s) blows a 0.5/s budget.
-	b := feed(e, 0.2, 0.2, 20, func(tt float64) SLOSample {
-		return SLOSample{T: tt, Handoffs: int(tt / 0.2)}
+	b := feed(e, sloWarmup, 0.2, 20, func(tt float64) FlightFrame {
+		return FlightFrame{T: tt, Handoffs: int(math.Round(tt / 0.2))}
 	})
 	if len(b) != 1 {
 		t.Fatalf("flapping handoffs raised %d breaches, want 1", len(b))
@@ -227,7 +227,7 @@ func TestSLOHandoffRate(t *testing.T) {
 
 func TestSLONilEngine(t *testing.T) {
 	var e *SLOEngine
-	if b := e.Observe(SLOSample{T: 1}); b != nil {
+	if b := e.Observe(FlightFrame{T: 1}); b != nil {
 		t.Error("nil engine Observe returned breaches")
 	}
 	if h := e.Health(); !h.Healthy || !h.Ready {
@@ -236,26 +236,91 @@ func TestSLONilEngine(t *testing.T) {
 	if e.Breaches() != nil || e.Rules() != nil {
 		t.Error("nil engine leaked state")
 	}
-	e.SetWarmup(3) // must not panic
 }
 
 func TestSLOHistoryBounded(t *testing.T) {
 	rules, _ := ParseSLORules("staleness<=1@5s")
 	e := NewSLOEngine(rules)
-	e.SetWarmup(0)
-	tt := 0.1
+	tt := sloWarmup
 	for i := 0; i < 2*sloHistoryCap; i++ {
 		// breach (3 bad) then clear (3 good), forever
 		for j := 0; j < sloSustainN; j++ {
-			e.Observe(SLOSample{T: tt, Staleness: 9})
+			e.Observe(FlightFrame{T: tt, Staleness: 9})
 			tt += 0.2
 		}
 		for j := 0; j < sloClearN; j++ {
-			e.Observe(SLOSample{T: tt, Staleness: 0})
+			e.Observe(FlightFrame{T: tt, Staleness: 0})
 			tt += 0.2
 		}
 	}
 	if got := len(e.Breaches()); got != sloHistoryCap {
 		t.Errorf("history has %d entries, want capped at %d", got, sloHistoryCap)
+	}
+}
+
+// TestSLOSharedWindowMatchesPerRuleWindows checks every rule's stat,
+// read from the engine's one shared window, against a window of its
+// own that pushes each sample and evicts those older than the rule's
+// window, always keeping the newest. Frames arrive in time order with
+// random gaps, repeated times and counter steps.
+func TestSLOSharedWindowMatchesPerRuleWindows(t *testing.T) {
+	rules, err := ParseSLORules("vdp_p99<=0.5@30s,vdp_p99<=0.5@1s,energy_rate~3@20s," +
+		"energy_rate<=9@0.5s,staleness<=1@5s,handoff_rate<=0.5@30s,handoff_rate<=0.5@3s")
+	if err != nil {
+		t.Fatal(err)
+	}
+	type sample struct{ t, v float64 }
+	own := make([][]sample, len(rules))
+	value := func(r SLORule, f FlightFrame) float64 {
+		switch r.Metric {
+		case SLOVdpP99:
+			return f.VDP
+		case SLOEnergyRate:
+			return f.EnergyJ
+		case SLOHandoffRate:
+			return float64(f.Handoffs)
+		}
+		return f.Staleness
+	}
+	e := NewSLOEngine(rules)
+	rng := rand.New(rand.NewSource(3))
+	var f FlightFrame
+	for step := 0; step < 3000; step++ {
+		f.T += []float64{0, 0.05, 0.2, 0.2, 0.2, 1.5}[rng.Intn(6)]
+		f.VDP = rng.ExpFloat64() * 0.1
+		f.EnergyJ += rng.Float64() * 3
+		f.Handoffs += rng.Intn(2) * rng.Intn(2)
+		f.Staleness = rng.Float64() * 2
+		e.Observe(f)
+		for i, r := range rules {
+			w := append(own[i], sample{f.T, value(r, f)})
+			for len(w) > 1 && w[0].t < f.T-r.Window {
+				w = w[1:]
+			}
+			own[i] = w
+			var want float64
+			wantOK := true
+			switch r.Metric {
+			case SLOVdpP99:
+				vs := make([]float64, len(w))
+				for j := range w {
+					vs[j] = w[j].v
+				}
+				sort.Float64s(vs)
+				want = vs[min((99*len(vs)+99)/100, len(vs))-1]
+			case SLOStaleness:
+				want = w[len(w)-1].v
+			default:
+				a, b := w[0], w[len(w)-1]
+				if wantOK = b.t > a.t; wantOK {
+					want = (b.v - a.v) / (b.t - a.t)
+				}
+			}
+			got, ok := e.eval(r, f.T)
+			if ok != wantOK || got != want {
+				t.Fatalf("step %d t=%g rule %s: stat %v/%v, own window %v/%v",
+					step, f.T, r, got, ok, want, wantOK)
+			}
+		}
 	}
 }

@@ -1,6 +1,10 @@
 package obs
 
-import "sync"
+import (
+	"sync"
+
+	"lgvoffload/internal/ring"
+)
 
 // Kind classifies a timeline event.
 type Kind string
@@ -85,11 +89,8 @@ type Event struct {
 // in memory, keeping the newest events and counting evictions. Safe for
 // concurrent use.
 type Timeline struct {
-	mu    sync.Mutex
-	buf   []Event
-	start int    // index of the oldest event
-	n     int    // events currently held
-	total uint64 // events ever appended (assigns Seq)
+	mu   sync.Mutex
+	ring ring.Ring[Event] // Pushed() assigns Seq
 }
 
 // DefaultTimelineCap bounds the ring when no capacity is given: at the
@@ -103,22 +104,15 @@ func NewTimeline(capacity int) *Timeline {
 	if capacity <= 0 {
 		capacity = DefaultTimelineCap
 	}
-	return &Timeline{buf: make([]Event, capacity)}
+	return &Timeline{ring: ring.New[Event](capacity)}
 }
 
 // Append stores one event, assigning its sequence number and evicting
 // the oldest event when full. It never allocates.
 func (t *Timeline) Append(ev Event) {
 	t.mu.Lock()
-	t.total++
-	ev.Seq = t.total
-	if t.n < len(t.buf) {
-		t.buf[(t.start+t.n)%len(t.buf)] = ev
-		t.n++
-	} else {
-		t.buf[t.start] = ev
-		t.start = (t.start + 1) % len(t.buf)
-	}
+	ev.Seq = t.ring.Pushed() + 1
+	t.ring.Push(ev)
 	t.mu.Unlock()
 }
 
@@ -126,30 +120,47 @@ func (t *Timeline) Append(ev Event) {
 func (t *Timeline) Events() []Event {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	out := make([]Event, t.n)
-	for i := 0; i < t.n; i++ {
-		out[i] = t.buf[(t.start+i)%len(t.buf)]
+	return t.ring.AppendTo(make([]Event, 0, t.ring.Len()))
+}
+
+// Window returns, oldest first, the held events that overlap the
+// virtual-time window [from, to]: each ends at or after from and starts
+// at or before to. It scans under the timeline lock and copies only
+// those events.
+func (t *Timeline) Window(from, to float64) []Event {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	var dst []Event
+	for i := 0; i < t.ring.Len(); i++ {
+		ev := t.ring.At(i)
+		end := ev.T0
+		if ev.T1 > end {
+			end = ev.T1
+		}
+		if end >= from && ev.T0 <= to {
+			dst = append(dst, *ev)
+		}
 	}
-	return out
+	return dst
 }
 
 // Len returns how many events are currently held.
 func (t *Timeline) Len() int {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return t.n
+	return t.ring.Len()
 }
 
 // Total returns how many events were ever appended.
 func (t *Timeline) Total() uint64 {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return t.total
+	return t.ring.Pushed()
 }
 
 // Evicted returns how many events the ring has discarded.
 func (t *Timeline) Evicted() uint64 {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return t.total - uint64(t.n)
+	return t.ring.Evicted()
 }

@@ -140,10 +140,3 @@ func TestPostMortemSections(t *testing.T) {
 		}
 	}
 }
-
-func TestPublishExpvarIdempotent(t *testing.T) {
-	r := NewRegistry()
-	r.Add("x", "", 1)
-	r.PublishExpvar("obs_test_registry")
-	r.PublishExpvar("obs_test_registry") // must not panic on duplicate
-}

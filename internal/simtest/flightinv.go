@@ -9,12 +9,14 @@ import (
 	"lgvoffload/internal/obs"
 )
 
-// checkFlightBundle is the black-box invariant: attaching the flight
-// recorder + SLO engine must be non-invasive (the observed re-run is
-// byte-identical to the bare primary), a forced breach must freeze a
-// structurally valid bundle that contains the breach tick itself, and
-// the whole capture must be deterministic — a second observed run
-// produces the byte-identical bundle. Costs two extra full runs.
+// checkFlightBundle is the black-box invariant: attaching telemetry, the
+// flight recorder and the SLO engine must be non-invasive (the observed
+// re-run is byte-identical to the bare primary), a forced breach must
+// freeze a structurally valid bundle that contains the breach tick
+// itself and the timeline events of its window, and the whole capture
+// must be deterministic — a second observed run produces the
+// byte-identical bundle, frames and events alike. Costs two extra full
+// runs.
 //
 // The forced rule is energy_rate<=0@10s: idle power accrues every
 // physics step on every mission (local or offloaded), so the windowed
@@ -64,6 +66,10 @@ func checkFlightBundle(o *Outcome) error {
 	}
 	if _, err := obs.VerifyFlightBundle(b1.Data); err != nil {
 		return fmt.Errorf("bundle fails verification: %w", err)
+	}
+	if b1.Events == 0 {
+		// Every control tick emits a tick event, so the window has some.
+		return fmt.Errorf("bundle (reason %q, t=%.3f) carries no timeline events", b1.Reason, b1.T)
 	}
 	found, err := bundleHasFrameAt(b1.Data, breach.T)
 	if err != nil {

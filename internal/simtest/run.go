@@ -52,16 +52,19 @@ type Outcome struct {
 func RunScenario(sc Scenario) (*Outcome, error) { return runScenario(sc, nil) }
 
 // RunScenarioObserved is RunScenario with a flight recorder and/or SLO
-// engine attached — the instrumented rerun behind the flight-bundle
-// invariant and advhunt's worst-case capture. Both may be nil.
+// engine attached, plus a Telemetry whose timeline the recorder's
+// bundles copy their events from — the instrumented rerun behind the
+// flight-bundle invariant and advhunt's worst-case capture. Both may be
+// nil.
 func RunScenarioObserved(sc Scenario, fr *obs.FlightRecorder, slo *obs.SLOEngine) (*Outcome, error) {
-	return runScenarioOpts(sc, runOpts{fr: fr, slo: slo})
+	return runScenarioOpts(sc, runOpts{tel: obs.NewTelemetry(0), fr: fr, slo: slo})
 }
 
 // runOpts carries the optional observers a scenario run can attach; the
 // zero value is a bare run.
 type runOpts struct {
 	rec *store.Recorder
+	tel *obs.Telemetry
 	fr  *obs.FlightRecorder
 	slo *obs.SLOEngine
 }
@@ -89,6 +92,7 @@ func runScenarioOpts(sc Scenario, opts runOpts) (*Outcome, error) {
 	cfg.Tracer = tracer
 	cfg.RecordTrace = true
 	cfg.Store = opts.rec
+	cfg.Telemetry = opts.tel
 	cfg.FlightRec = opts.fr
 	cfg.SLO = opts.slo
 

@@ -6,13 +6,18 @@
 // seconds in whatever clock the producer runs on (virtual mission time
 // in the engine, wall time since epoch in the switcher/worker).
 //
-// The package is dependency-free and mirrors the obs nil-safety
-// contract: every method on a nil *Tracer is a no-op, so instrumented
-// hot paths need no guards and allocate nothing when tracing is off.
+// The package imports nothing from the repo but internal/ring, and
+// mirrors the obs nil-safety contract: every method on a nil *Tracer is
+// a no-op, so instrumented hot paths need no guards and allocate
+// nothing when tracing is off.
 // (The name avoids the existing internal/trace dataset package.)
 package spans
 
-import "sync"
+import (
+	"sync"
+
+	"lgvoffload/internal/ring"
+)
 
 // Kind classifies a span for critical-path analysis. Only Compute,
 // Queue and Transport spans are segments of the VDP makespan; Aux marks
@@ -77,13 +82,9 @@ const DefaultCapacity = 1 << 16
 // keeps it safe for the concurrent real-socket path (switcher pump,
 // worker loop) while staying cheap for the single-goroutine engine.
 type Tracer struct {
-	mu      sync.Mutex
-	buf     []Span
-	head    int // index of the oldest span
-	n       int // spans currently buffered
-	lastID  uint64
-	total   uint64 // spans ever recorded
-	dropped uint64 // spans evicted by the ring bound
+	mu     sync.Mutex
+	ring   ring.Ring[Span] // Evicted() counts spans dropped by the bound
+	lastID uint64
 }
 
 // NewTracer returns a tracer holding at most capacity spans
@@ -92,7 +93,7 @@ func NewTracer(capacity int) *Tracer {
 	if capacity <= 0 {
 		capacity = DefaultCapacity
 	}
-	return &Tracer{buf: make([]Span, capacity)}
+	return &Tracer{ring: ring.New[Span](capacity)}
 }
 
 // Enabled reports whether spans are being recorded.
@@ -138,22 +139,7 @@ func (t *Tracer) Record(s Span) uint64 {
 		t.lastID++
 		s.ID = t.lastID
 	}
-	if t.n == len(t.buf) {
-		t.buf[t.head] = s
-		t.head++
-		if t.head == len(t.buf) {
-			t.head = 0
-		}
-		t.dropped++
-	} else {
-		i := t.head + t.n
-		if i >= len(t.buf) {
-			i -= len(t.buf)
-		}
-		t.buf[i] = s
-		t.n++
-	}
-	t.total++
+	t.ring.Push(s)
 	id := s.ID
 	t.mu.Unlock()
 	return id
@@ -180,15 +166,7 @@ func (t *Tracer) Spans() []Span {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	out := make([]Span, t.n)
-	for i := 0; i < t.n; i++ {
-		j := t.head + i
-		if j >= len(t.buf) {
-			j -= len(t.buf)
-		}
-		out[i] = t.buf[j]
-	}
-	return out
+	return t.ring.AppendTo(make([]Span, 0, t.ring.Len()))
 }
 
 // Len returns the number of spans currently buffered.
@@ -198,7 +176,7 @@ func (t *Tracer) Len() int {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return t.n
+	return t.ring.Len()
 }
 
 // Total returns the number of spans ever recorded.
@@ -208,7 +186,7 @@ func (t *Tracer) Total() uint64 {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return t.total
+	return t.ring.Pushed()
 }
 
 // Dropped returns how many old spans the ring bound evicted.
@@ -218,5 +196,5 @@ func (t *Tracer) Dropped() uint64 {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return t.dropped
+	return t.ring.Evicted()
 }

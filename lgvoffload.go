@@ -121,8 +121,8 @@ type (
 	// MissionConfig.FlightRec to capture per-tick frames and dump JSONL
 	// bundles on watchdog stops, failovers, SLO breaches and panics.
 	FlightRecorder = obs.FlightRecorder
-	// FlightConfig sizes a FlightRecorder (ring capacities, dump window,
-	// output directory, rate limits).
+	// FlightConfig configures a FlightRecorder (output directory, dump
+	// rate limits).
 	FlightConfig = obs.FlightConfig
 	// FlightFrame is one per-tick flight-recorder snapshot.
 	FlightFrame = obs.FlightFrame
@@ -202,18 +202,12 @@ func ValidateChromeTrace(data []byte) (int, error) { return spans.ValidateChrome
 // NewInspector returns the live HTTP inspection endpoint: metrics
 // snapshot, recent timeline, Chrome trace, expvar and pprof. Either
 // argument may be nil.
-func NewInspector(t *Telemetry, tr *Tracer) http.Handler {
-	if tr == nil {
-		return obs.NewInspector(t, nil)
-	}
-	return obs.NewInspector(t, tr)
-}
+func NewInspector(t *Telemetry, tr *Tracer) http.Handler { return obs.NewInspector(t, tr) }
 
 // NewInspectorWith returns the full HTTP inspection endpoint including
 // the persistent-mission dashboard (/missions, /missions/{id}, /fleet,
 // /dash) and the live SSE stream (/live). Every config field may be
-// nil; note that a *Tracer must be assigned via a typed non-nil value
-// (use NewInspector for the tracer-only case).
+// nil.
 func NewInspectorWith(cfg InspectorConfig) http.Handler { return obs.NewInspectorWith(cfg) }
 
 // OpenStore opens (creating if needed) an embedded mission store. A
@@ -235,9 +229,10 @@ func StoreSummary(res *Result) MissionSummary { return core.StoreSummary(res) }
 // replayCap recent frames (<= 0 means the default).
 func NewLiveHub(replayCap int) *LiveHub { return obs.NewLiveHub(replayCap) }
 
-// NewFlightRecorder preallocates a mission flight recorder; zero-value
-// config fields take the defaults (4096 frames, 1024 events, 30 s dump
-// window, 16 dumps at least 5 virtual seconds apart).
+// NewFlightRecorder preallocates a mission flight recorder: a
+// 4096-frame ring and 30 s bundles whose events come from the mission
+// telemetry's timeline. Zero-value config fields take the defaults (16
+// dumps at least 5 virtual seconds apart).
 func NewFlightRecorder(cfg FlightConfig) *FlightRecorder { return obs.NewFlightRecorder(cfg) }
 
 // NewSLOEngine builds a live SLO judge over the given rules.
