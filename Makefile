@@ -111,8 +111,8 @@ serve-smoke:
 
 # End-to-end tracing proof: run a short traced mission, then validate the
 # exported Chrome JSON (well-formed, monotonic timestamps, every parent
-# span present) with tracecheck. Artifacts land in /tmp.
+# span present) with `lgvsim -verify`. Artifacts land in /tmp.
 trace-demo:
 	go run ./cmd/lgvsim -deploy adaptive -map deadzone -maxtime 120 \
 		-trace /tmp/lgv-trace.json -spans /tmp/lgv-spans.jsonl
-	go run ./cmd/tracecheck /tmp/lgv-trace.json
+	go run ./cmd/lgvsim -verify /tmp/lgv-trace.json

@@ -18,8 +18,6 @@ import (
 	"lgvoffload/internal/energy"
 	"lgvoffload/internal/geom"
 	"lgvoffload/internal/hostsim"
-	"lgvoffload/internal/msg"
-	"lgvoffload/internal/mw"
 	"lgvoffload/internal/netsim"
 	"lgvoffload/internal/slam"
 	"lgvoffload/internal/timing"
@@ -306,25 +304,6 @@ func benchSLAMPart(b *testing.B, part slam.Partition) {
 		b.StartTimer()
 		for _, e := range ds.Entries {
 			s.UpdateParallel(e.OdomDelta, e.Scan, 4, part)
-		}
-	}
-}
-
-// Queue depth for VDP topics: one-length (fresh data, overwrites) vs a
-// deep queue (no overwrites, stale data accumulates).
-func BenchmarkAblationQueueDepth1(b *testing.B)  { benchQueueDepth(b, 1) }
-func BenchmarkAblationQueueDepth32(b *testing.B) { benchQueueDepth(b, 32) }
-
-func benchQueueDepth(b *testing.B, depth int) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		bus := mw.NewBus(nil)
-		sub := bus.Subscribe("cmd_vel", "lgv", depth)
-		for k := 0; k < 1000; k++ {
-			bus.Publish("cmd_vel", "lgv", &msg.Twist{Header: msg.Header{Seq: uint64(k)}}, float64(k)*0.2)
-			if k%10 == 9 {
-				sub.Latest()
-			}
 		}
 	}
 }

@@ -14,6 +14,7 @@
 //	lgvsim -http :8080                           # live dashboard + inspection
 //	lgvsim -store missions.lgvstore -http :8080  # persist + browse history
 //	lgvsim -faults "wap:20-35;server:60-80"      # scripted disturbances
+//	lgvsim -verify trace.json metrics.prom       # validate artifacts
 package main
 
 import (
@@ -55,8 +56,7 @@ func main() {
 	sloStrict := flag.Bool("slo-strict", false, "exit 3 if any SLO rule breached during the mission (CI gate; implies -slo default when -slo is unset)")
 	flightRec := flag.Bool("flightrec", false, "attach the always-on flight recorder (bundles kept in memory; see -flight-dir)")
 	flightDir := flag.String("flight-dir", "", "write flight bundles into this directory (implies -flightrec; created if absent)")
-	flightVerify := flag.String("flight-verify", "", "verify a flight bundle file and exit (0 valid / 1 invalid)")
-	promVerify := flag.String("prom-verify", "", "validate a Prometheus text-format file and exit (0 valid / 1 invalid)")
+	verify := flag.Bool("verify", false, "validate the artifact files given as arguments (flight bundle, Chrome trace or Prometheus text, told apart by content) and exit (0 all valid / 1 otherwise); runs no mission")
 	serveMode := flag.Bool("serve", false, "run as the mission control plane: admit scenario specs over HTTP (POST /missions on -http, default :8080), multiplex them through a bounded scheduler, record into -store; SIGINT/SIGTERM drains")
 	serveMaxRunning := flag.Int("serve-max-running", 4, "serve: missions stepped concurrently (the run ring)")
 	serveMaxQueued := flag.Int("serve-max-queued", 1024, "serve: bounded admission queue; POST /missions returns 503 when full")
@@ -64,36 +64,14 @@ func main() {
 	serveDrainTimeout := flag.Duration("serve-drain-timeout", time.Minute, "serve: how long a shutdown drain waits before force-canceling")
 	flag.Parse()
 
-	// Utility modes: structural verification of artifacts produced by a
+	// Utility mode: structural verification of artifacts produced by a
 	// previous run, for CI smoke tests. No mission is run.
-	if *flightVerify != "" {
-		data, err := os.ReadFile(*flightVerify)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "flight-verify:", err)
-			os.Exit(1)
+	if *verify {
+		if flag.NArg() == 0 {
+			fmt.Fprintln(os.Stderr, "usage: lgvsim -verify FILE...")
+			os.Exit(2)
 		}
-		info, err := lgvoffload.VerifyFlightBundle(data)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "flight-verify: %s: %v\n", *flightVerify, err)
-			os.Exit(1)
-		}
-		fmt.Printf("flight-verify: ok: reason=%s t=%.3f frames=%d events=%d\n",
-			info.Reason, info.T, info.Frames, info.Events)
-		return
-	}
-	if *promVerify != "" {
-		data, err := os.ReadFile(*promVerify)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "prom-verify:", err)
-			os.Exit(1)
-		}
-		n, err := lgvoffload.ValidatePrometheusText(data)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "prom-verify: %s: %v\n", *promVerify, err)
-			os.Exit(1)
-		}
-		fmt.Printf("prom-verify: ok: %d samples\n", n)
-		return
+		os.Exit(runVerify(flag.Args(), os.Stdout, os.Stderr))
 	}
 	if *serveMode {
 		runServe(*httpAddr, *storePath, serveFlags{

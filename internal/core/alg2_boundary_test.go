@@ -48,28 +48,6 @@ func TestNetControllerThresholdEquality(t *testing.T) {
 	}
 }
 
-// TestNetControllerMissLimitBoundary pins the consecutive-miss gate at
-// its exact limit: misses == MissLimit forces local (the comparison is
-// >=), misses == MissLimit-1 does not.
-func TestNetControllerMissLimitBoundary(t *testing.T) {
-	c := NewNetController(4)
-	c.MissLimit = 15
-	if !c.UpdateEx(10, +1, 14) {
-		t.Fatal("misses one below the limit must not force local")
-	}
-	if c.UpdateEx(10, +1, 15) {
-		t.Fatal("misses at the limit must force local even under good bandwidth")
-	}
-	// The gate holds the decision while misses stay pinned.
-	if c.UpdateEx(10, +1, 16) {
-		t.Fatal("misses past the limit must keep forcing local")
-	}
-	// Once the misses clear, a healthy link goes remote again.
-	if !c.UpdateEx(10, +1, 0) {
-		t.Fatal("cleared misses with good link must restore remote")
-	}
-}
-
 // TestHoldDownExpiryBoundary pins the failover hold-down at its exact
 // expiry tick: HoldActive is `now < holdUntil`, so the veto is active
 // one instant before expiry and gone at exactly holdUntil.

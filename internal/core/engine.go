@@ -546,12 +546,8 @@ func newEngine(cfg MissionConfig) (*engine, error) {
 		slo:          cfg.SLO,
 		lastRemoteOK: true, // adaptive deployments start offloaded
 	}
-	if cfg.Telemetry != nil {
-		// Interface wiring only when enabled: a nil Sink keeps the link's
-		// hot path branch-predictable and allocation-free.
-		link.SetSink(cfg.Telemetry)
-		e.tel.SetPhase(cfg.Workload.String())
-	}
+	link.SetSink(cfg.Telemetry)
+	e.tel.SetPhase(cfg.Workload.String())
 	// Bundles copy the events of their window from this mission's
 	// timeline.
 	cfg.FlightRec.Attach(cfg.Telemetry)
@@ -559,7 +555,6 @@ func newEngine(cfg MissionConfig) (*engine, error) {
 	if missLimit < 0 {
 		missLimit = 0 // sentinel: failover disabled
 	}
-	e.netctl.MissLimit = missLimit
 	e.safety = NewSafetyController(cfg.WatchdogDeadline, missLimit, cfg.FailoverHoldSec)
 	e.safety.SetHandoffHold(cfg.HandoffHoldSec)
 	if cfg.Faults != nil && !cfg.Faults.Empty() {
@@ -569,9 +564,7 @@ func newEngine(cfg MissionConfig) (*engine, error) {
 		// The schedule gets its own rng stream so attaching faults never
 		// perturbs the link/sensor randomness of the underlying mission.
 		e.schedule = faults.New(*cfg.Faults, rand.New(rand.NewSource(cfg.Seed+6)))
-		if cfg.Telemetry != nil {
-			e.schedule.SetSink(cfg.Telemetry)
-		}
+		e.schedule.SetSink(cfg.Telemetry)
 		link.SetImpairment(e.schedule)
 	}
 	applyLocalFreq(e.platforms, cfg.LocalFreqGHz)

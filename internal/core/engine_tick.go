@@ -628,7 +628,7 @@ func (e *engine) finishTick(now float64, localWork hostsim.Work, pipelineLat flo
 // limit is reached. It runs before finishTick's adapt pass so the pull
 // home is attributed to the failover path, not the Algorithm 2 gate.
 func (e *engine) noteMiss(now float64) {
-	if e.cfg.Deployment.Mode != Adaptive || e.netctl.MissLimit <= 0 {
+	if e.cfg.Deployment.Mode != Adaptive || e.cfg.FailoverMisses < 0 {
 		return
 	}
 	e.safety.Miss()
@@ -702,7 +702,7 @@ func (e *engine) adapt(now float64) {
 	}
 	bw := e.prof.Bandwidth(now)
 	dir := e.prof.Direction()
-	remoteOK := e.netctl.UpdateEx(bw, dir, e.safety.Misses())
+	remoteOK := e.netctl.Update(bw, dir)
 	if remoteOK && e.safety.HoldActive(now) {
 		// Post-failover hold-down: the bandwidth estimate may still be
 		// optimistic right after a pull home; hysteresis wins.

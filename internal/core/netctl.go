@@ -17,13 +17,6 @@ type NetController struct {
 	// counts as failing. The paper sets 4 for a 5 Hz sender.
 	Threshold float64
 
-	// MissLimit extends the algorithm's inputs with a consecutive-miss
-	// counter: at or past this many missed remote VDP ticks the link is
-	// declared dead regardless of bandwidth and direction — the paper's
-	// rule is blind to a total outage while the robot is stationary
-	// (d_t decays to 0, so neither branch fires). 0 disables the gate.
-	MissLimit int
-
 	remoteOK bool // current decision: true = offloading allowed
 	switches int
 }
@@ -39,20 +32,7 @@ func NewNetController(threshold float64) *NetController {
 // approaching the WAP). It returns true when remote execution is
 // currently advisable.
 func (c *NetController) Update(rate, direction float64) bool {
-	return c.UpdateEx(rate, direction, 0)
-}
-
-// UpdateEx is Update extended with the consecutive-miss count from the
-// safety controller: misses at or past MissLimit force the local
-// decision even when bandwidth and direction look acceptable (or simply
-// say nothing, as during a dead-stop outage).
-func (c *NetController) UpdateEx(rate, direction float64, misses int) bool {
 	switch {
-	case c.MissLimit > 0 && misses >= c.MissLimit:
-		if c.remoteOK {
-			c.switches++
-		}
-		c.remoteOK = false
 	case rate < c.Threshold && direction < 0:
 		if c.remoteOK {
 			c.switches++

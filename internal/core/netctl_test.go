@@ -165,38 +165,3 @@ func TestLatencyControllerNoSamplesKeepsDecision(t *testing.T) {
 		t.Error("no samples must keep the local decision too")
 	}
 }
-
-func TestMissLimitForcesLocalDespiteGoodInputs(t *testing.T) {
-	c := NewNetController(4)
-	c.MissLimit = 5
-	// Bandwidth and direction both approve remote, but the miss counter
-	// has hit the limit: the link is declared dead anyway.
-	if c.UpdateEx(8, 0.9, 5) {
-		t.Error("miss limit reached must force local")
-	}
-	if c.Switches() != 1 {
-		t.Errorf("switches = %d, want 1", c.Switches())
-	}
-	// Below the limit the ordinary rule resumes: good inputs restore
-	// remote once misses reset.
-	if !c.UpdateEx(8, 0.9, 0) {
-		t.Error("cleared misses with good inputs must restore remote")
-	}
-	// Stationary outage (rate 0, direction 0): neither paper branch
-	// fires, but the miss gate still pulls the placement home.
-	if c.UpdateEx(0, 0, 7) {
-		t.Error("dead-stop outage must trip via the miss gate")
-	}
-}
-
-func TestMissLimitZeroDisablesGate(t *testing.T) {
-	c := NewNetController(4)
-	// MissLimit 0 (the default): even an absurd miss count is ignored and
-	// the plain Algorithm 2 rule decides.
-	if !c.UpdateEx(8, 0.9, 1000) {
-		t.Error("disabled gate must not force local")
-	}
-	if c.Switches() != 0 {
-		t.Errorf("switches = %d, want 0", c.Switches())
-	}
-}

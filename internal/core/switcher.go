@@ -200,8 +200,8 @@ type Switcher struct {
 	ep     *mw.UDPEndpoint
 	peer   *net.UDPAddr
 	prof   *Profiler
-	sink   obs.Sink      // nil when telemetry is off
-	tracer *spans.Tracer // nil when tracing is off
+	sink   *obs.Telemetry // nil when telemetry is off
+	tracer *spans.Tracer  // nil when tracing is off
 
 	// HealthTimeout is how long the worker may stay silent before the
 	// switcher declares it dead and degrades to local execution.
@@ -241,7 +241,7 @@ func (s *Switcher) Addr() *net.UDPAddr { return s.ep.Addr() }
 // live registry the simulated engine uses (pass nil to detach). The
 // switcher — not the profiler — is instrumented, so a mission engine
 // sharing a Profiler never double-counts.
-func (s *Switcher) SetSink(sk obs.Sink) { s.sink = sk }
+func (s *Switcher) SetSink(sk *obs.Telemetry) { s.sink = sk }
 
 // SetTracer attaches a span tracer. Each uplinked scan is then stamped
 // with a fresh trace context that the worker echoes back, and every
@@ -314,11 +314,9 @@ func (s *Switcher) Pump() int {
 			s.received++
 			s.mu.Unlock()
 			s.prof.RecordPacket(now, now-mm.SentAt)
-			if s.sink != nil {
-				s.sink.Count(obs.MTransfers, "cmd_vel", 1)
-				s.sink.Emit(obs.Event{Kind: obs.KindTransfer,
-					T0: mm.SentAt, T1: now, Node: "cmd_vel", Value: now - mm.SentAt})
-			}
+			s.sink.Count(obs.MTransfers, "cmd_vel", 1)
+			s.sink.Emit(obs.Event{Kind: obs.KindTransfer,
+				T0: mm.SentAt, T1: now, Node: "cmd_vel", Value: now - mm.SentAt})
 		case *msg.Profile:
 			s.prof.RecordProc(mm.Node, mm.ProcTime)
 			// Clock jitter between stamping and receipt can push the
@@ -346,14 +344,12 @@ func (s *Switcher) Pump() int {
 				s.tracer.Add(mm.TraceID, mm.ParentSpan, mm.Node, mm.Host, mm.Node,
 					spans.Compute, cStart, now)
 			}
-			if s.sink != nil {
-				s.sink.Observe(obs.MNodeExecSeconds, mm.Node, mm.ProcTime)
-				s.sink.Count(obs.MNodeExecs, mm.Node, 1)
-				s.sink.Observe(obs.MProbeRTTSeconds, "", rtt)
-				s.sink.Emit(obs.Event{Kind: obs.KindNodeExec,
-					T0: mm.SentAt, T1: now, Node: mm.Node, Host: mm.Host,
-					Value: mm.ProcTime})
-			}
+			s.sink.Observe(obs.MNodeExecSeconds, mm.Node, mm.ProcTime)
+			s.sink.Count(obs.MNodeExecs, mm.Node, 1)
+			s.sink.Observe(obs.MProbeRTTSeconds, "", rtt)
+			s.sink.Emit(obs.Event{Kind: obs.KindNodeExec,
+				T0: mm.SentAt, T1: now, Node: mm.Node, Host: mm.Host,
+				Value: mm.ProcTime})
 		case *msg.Heartbeat:
 			// Liveness only: markAlive above already refreshed the health
 			// clock and closed any outage.

@@ -201,7 +201,7 @@ func (c Config) String() string {
 type Schedule struct {
 	windows []Window
 	rng     *rand.Rand
-	sink    obs.Sink // nil when telemetry is off
+	sink    *obs.Telemetry // nil when telemetry is off
 
 	fired    []bool // one per window: fault event already emitted
 	injected map[Kind]int
@@ -221,7 +221,7 @@ func New(cfg Config, rng *rand.Rand) *Schedule {
 }
 
 // SetSink attaches a telemetry sink (nil detaches).
-func (s *Schedule) SetSink(sk obs.Sink) { s.sink = sk }
+func (s *Schedule) SetSink(sk *obs.Telemetry) { s.sink = sk }
 
 // Impair implements netsim.Impairment: it folds every active window
 // into one verdict for a packet sent at virtual time now in the given

@@ -53,11 +53,6 @@ type Header struct {
 	ParentSpan uint64 // span the receiver should parent its spans under
 }
 
-// TraceContext implements wire.Traced.
-func (h Header) TraceContext() (traceID, parentSpan uint64) {
-	return h.TraceID, h.ParentSpan
-}
-
 func (h *Header) marshal(e *wire.Encoder) {
 	e.Uvarint(h.Seq)
 	e.Float64(h.Stamp)

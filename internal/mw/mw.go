@@ -1,338 +1,12 @@
-// Package mw is the ROS-like middleware of the simulator: named topics
-// with publish/subscribe delivery, per-subscriber bounded queues (the
-// paper's one-length UDP queues that keep VDP data fresh), and a pluggable
-// Fabric that decides latency and loss for messages crossing hosts.
+// Package mw is the real-socket middleware of the §VII switcher: host
+// identities and a UDP endpoint that carries wire frames between the
+// LGV and a remote worker with the paper's one-length-queue freshness
+// policy.
 //
-// Delivery runs in virtual time: Publish stamps each message with an
-// arrival time obtained from the Fabric, and Advance(now) moves matured
-// messages into subscriber queues. This keeps missions deterministic
-// while reproducing the queueing behaviour (freshness, overwrite-on-full,
-// silent UDP drops) that §VI of the paper builds on.
+// Missions model the same hops in virtual time inside the engine's
+// control tick (internal/core over internal/netsim); only the
+// real-socket Switcher/Worker pair uses the endpoint.
 package mw
-
-import (
-	"fmt"
-	"sort"
-	"sync"
-
-	"lgvoffload/internal/obs"
-	"lgvoffload/internal/spans"
-	"lgvoffload/internal/wire"
-)
 
 // HostID identifies a compute host ("lgv", "edge", "cloud").
 type HostID string
-
-// Fabric decides how a message of the given encoded size travels from one
-// host to another at virtual time now. It returns the arrival time and
-// whether the message was dropped. A same-host transfer must be instant
-// and lossless.
-type Fabric interface {
-	Transfer(from, to HostID, size int, now float64) (arriveAt float64, dropped bool)
-}
-
-// LocalFabric is the trivial fabric: every transfer is instant and
-// lossless, as if all nodes shared one process.
-type LocalFabric struct{}
-
-// Transfer implements Fabric.
-func (LocalFabric) Transfer(_, _ HostID, _ int, now float64) (float64, bool) {
-	return now, false
-}
-
-// Envelope is a message in flight or queued, with transport metadata.
-type Envelope struct {
-	Msg      wire.Message
-	Topic    string
-	From     HostID
-	Size     int     // encoded size in bytes
-	SentAt   float64 // publish time
-	ArriveAt float64 // delivery time at the subscriber
-
-	dest *Subscription // destination while in flight
-}
-
-// Subscription is one subscriber's bounded mailbox on a topic.
-type Subscription struct {
-	topic string
-	host  HostID
-	depth int
-
-	mu      sync.Mutex
-	queue   []Envelope
-	dropped int // messages overwritten due to a full queue
-	recv    int // messages delivered into the queue
-}
-
-// Poll removes and returns the oldest queued message, if any.
-func (s *Subscription) Poll() (Envelope, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if len(s.queue) == 0 {
-		return Envelope{}, false
-	}
-	env := s.queue[0]
-	s.queue = s.queue[1:]
-	return env, true
-}
-
-// Latest drains the queue and returns only the newest message, the usual
-// pattern for one-length VDP topics.
-func (s *Subscription) Latest() (Envelope, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if len(s.queue) == 0 {
-		return Envelope{}, false
-	}
-	env := s.queue[len(s.queue)-1]
-	s.queue = s.queue[:0]
-	return env, true
-}
-
-// Pending returns the number of queued messages.
-func (s *Subscription) Pending() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.queue)
-}
-
-// Received returns the total number of messages delivered into the queue
-// since the subscription was created. The Profiler derives the paper's
-// "packet bandwidth" metric from deltas of this counter.
-func (s *Subscription) Received() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.recv
-}
-
-// Overwritten returns how many messages were discarded because the queue
-// was full (freshness overwrites).
-func (s *Subscription) Overwritten() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.dropped
-}
-
-// Host returns the host this subscription lives on.
-func (s *Subscription) Host() HostID { return s.host }
-
-// deliver enqueues one message and returns how many older messages the
-// bounded queue overwrote to make room.
-func (s *Subscription) deliver(env Envelope) int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.recv++
-	drop := 0
-	if len(s.queue) >= s.depth {
-		// Overwrite the oldest message: bounded queue keeps data fresh.
-		drop = len(s.queue) - s.depth + 1
-		s.queue = s.queue[drop:]
-		s.dropped += drop
-	}
-	s.queue = append(s.queue, env)
-	return drop
-}
-
-// TopicStats aggregates traffic counters for one topic.
-type TopicStats struct {
-	Published  int
-	Dropped    int // lost in the fabric (network loss)
-	Bytes      int // total bytes offered to the fabric for remote transfers
-	RemoteSent int // messages that crossed hosts
-	// Overwritten sums the freshness overwrites across the topic's
-	// *current* subscribers (unsubscribed mailboxes leave the tally).
-	Overwritten int
-}
-
-type topicState struct {
-	subs  []*Subscription
-	stats TopicStats
-}
-
-// Bus routes messages between publishers and subscribers over a Fabric.
-type Bus struct {
-	fabric Fabric
-
-	mu       sync.Mutex
-	topics   map[string]*topicState
-	inflight []Envelope // messages waiting for their arrival time
-	seq      uint64
-	sink     obs.Sink      // nil when telemetry is off (the default)
-	tracer   *spans.Tracer // nil when tracing is off (the default)
-}
-
-// NewBus creates a bus over the given fabric (nil means LocalFabric).
-func NewBus(f Fabric) *Bus {
-	if f == nil {
-		f = LocalFabric{}
-	}
-	return &Bus{fabric: f, topics: make(map[string]*topicState)}
-}
-
-// SetSink attaches a telemetry sink to the bus (nil detaches). Transfers,
-// fabric drops and queue overwrites are reported per topic; the default
-// nil sink costs one branch per event.
-func (b *Bus) SetSink(s obs.Sink) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.sink = s
-}
-
-// SetTracer attaches a span tracer (nil detaches): cross-host transfers
-// of messages carrying trace context (wire.Traced headers) are recorded
-// as transport spans on the sender's trace.
-func (b *Bus) SetTracer(t *spans.Tracer) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.tracer = t
-}
-
-func (b *Bus) topic(name string) *topicState {
-	ts, ok := b.topics[name]
-	if !ok {
-		ts = &topicState{}
-		b.topics[name] = ts
-	}
-	return ts
-}
-
-// Subscribe registers a bounded mailbox for a topic on the given host.
-// depth <= 0 defaults to the paper's one-length queue.
-func (b *Bus) Subscribe(topic string, host HostID, depth int) *Subscription {
-	if depth <= 0 {
-		depth = 1
-	}
-	s := &Subscription{topic: topic, host: host, depth: depth}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.topic(topic).subs = append(b.topic(topic).subs, s)
-	return s
-}
-
-// Unsubscribe removes a subscription from its topic.
-func (b *Bus) Unsubscribe(s *Subscription) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	ts := b.topic(s.topic)
-	for i, sub := range ts.subs {
-		if sub == s {
-			ts.subs = append(ts.subs[:i], ts.subs[i+1:]...)
-			return
-		}
-	}
-}
-
-// Publish sends a message on a topic from the given host at virtual time
-// now. Each subscriber receives its own fabric-scheduled copy; remote
-// copies may be dropped by the fabric. The encoded size is computed once.
-func (b *Bus) Publish(topic string, from HostID, m wire.Message, now float64) {
-	size := wire.EncodedSize(m)
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.seq++
-	ts := b.topic(topic)
-	ts.stats.Published++
-	for _, sub := range ts.subs {
-		remote := sub.host != from
-		if remote {
-			ts.stats.RemoteSent++
-			ts.stats.Bytes += size
-		}
-		arrive, dropped := b.fabric.Transfer(from, sub.host, size, now)
-		if dropped {
-			ts.stats.Dropped++
-			if b.sink != nil {
-				b.sink.Count(obs.MDrops, topic, 1)
-				b.sink.Emit(obs.Event{Kind: obs.KindDrop, T0: now, T1: now,
-					Node: topic, Detail: "fabric"})
-			}
-			continue
-		}
-		if remote && b.sink != nil {
-			b.sink.Count(obs.MTransfers, topic, 1)
-			b.sink.Count(obs.MTransferBytes, topic, float64(size))
-			b.sink.Emit(obs.Event{Kind: obs.KindTransfer, T0: now, T1: arrive,
-				Node: topic, Host: string(sub.host), Bytes: size, Value: arrive - now})
-		}
-		if remote && b.tracer != nil {
-			if tm, ok := m.(wire.Traced); ok {
-				trace, parent := tm.TraceContext()
-				b.tracer.Add(trace, parent, "net:"+topic, string(sub.host), topic,
-					spans.Transport, now, arrive)
-			}
-		}
-		env := Envelope{Msg: m, Topic: topic, From: from, Size: size, SentAt: now, ArriveAt: arrive}
-		if arrive <= now {
-			if n := sub.deliver(env); n > 0 && b.sink != nil {
-				b.sink.Count(obs.MOverwrites, topic, float64(n))
-			}
-		} else {
-			b.inflight = append(b.inflight, inflightFor(env, sub))
-		}
-	}
-}
-
-func inflightFor(env Envelope, sub *Subscription) Envelope {
-	env.dest = sub
-	return env
-}
-
-// Advance delivers all in-flight messages whose arrival time has matured
-// (ArriveAt <= now). Delivery is ordered by arrival time for determinism.
-func (b *Bus) Advance(now float64) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if len(b.inflight) == 0 {
-		return
-	}
-	sort.SliceStable(b.inflight, func(i, j int) bool {
-		return b.inflight[i].ArriveAt < b.inflight[j].ArriveAt
-	})
-	var remaining []Envelope
-	for _, env := range b.inflight {
-		if env.ArriveAt <= now {
-			if n := env.dest.deliver(env); n > 0 && b.sink != nil {
-				b.sink.Count(obs.MOverwrites, env.Topic, float64(n))
-			}
-		} else {
-			remaining = append(remaining, env)
-		}
-	}
-	b.inflight = remaining
-}
-
-// InFlight returns the number of messages still traveling.
-func (b *Bus) InFlight() int {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return len(b.inflight)
-}
-
-// Stats returns a copy of the topic's traffic counters, with Overwritten
-// aggregated over the topic's current subscribers.
-func (b *Bus) Stats(topic string) TopicStats {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	ts := b.topic(topic)
-	st := ts.stats
-	for _, sub := range ts.subs {
-		st.Overwritten += sub.Overwritten()
-	}
-	return st
-}
-
-// Topics returns the names of all known topics, sorted.
-func (b *Bus) Topics() []string {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	names := make([]string, 0, len(b.topics))
-	for n := range b.topics {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
-
-func (b *Bus) String() string {
-	return fmt.Sprintf("mw.Bus{topics: %d, inflight: %d}", len(b.topics), len(b.inflight))
-}

@@ -10,12 +10,11 @@ import (
 	"lgvoffload/internal/wire"
 )
 
-// UDPEndpoint sends and receives wire frames over a real UDP socket. It
-// is the real-transport counterpart of the virtual-time Bus: the paper's
-// Switcher uses an asynchronous UDP channel (evpp) between the LGV and
-// the remote worker, and this endpoint reproduces that data path with the
-// standard library, including the nonblocking "best-effort" semantics
-// that make tail latency a misleading quality metric (§VI).
+// UDPEndpoint sends and receives wire frames over a real UDP socket. The
+// paper's Switcher uses an asynchronous UDP channel (evpp) between the
+// LGV and the remote worker, and this endpoint reproduces that data path
+// with the standard library, including the nonblocking "best-effort"
+// semantics that make tail latency a misleading quality metric (§VI).
 //
 // Received frames land in a bounded queue; when the queue is full the
 // oldest frame is overwritten, matching the one-length-queue freshness
@@ -31,8 +30,8 @@ type UDPEndpoint struct {
 	overwritten int // frames displaced by newer arrivals before Poll saw them
 	closed      bool
 	done        chan struct{}
-	notify      chan struct{} // cap-1 wakeup for PollWaitFrom blockers
-	sink        obs.Sink      // nil when telemetry is off
+	notify      chan struct{}  // cap-1 wakeup for PollWaitFrom blockers
+	sink        *obs.Telemetry // nil when telemetry is off
 }
 
 // inFrame is one decoded frame with the peer address it came from, so
@@ -67,7 +66,7 @@ func (ep *UDPEndpoint) Addr() *net.UDPAddr { return ep.conn.LocalAddr().(*net.UD
 
 // SetSink attaches a telemetry sink for live frame/error/overwrite
 // counters (nil detaches).
-func (ep *UDPEndpoint) SetSink(s obs.Sink) {
+func (ep *UDPEndpoint) SetSink(s *obs.Telemetry) {
 	ep.mu.Lock()
 	defer ep.mu.Unlock()
 	ep.sink = s
@@ -113,21 +112,15 @@ func (ep *UDPEndpoint) readLoop() {
 		ep.mu.Lock()
 		if err != nil {
 			ep.errs++
-			if ep.sink != nil {
-				ep.sink.Count(obs.MDecodeErrors, "udp", 1)
-			}
+			ep.sink.Count(obs.MDecodeErrors, "udp", 1)
 		} else {
 			ep.recv++
-			if ep.sink != nil {
-				ep.sink.Count(obs.MFrames, "udp", 1)
-			}
+			ep.sink.Count(obs.MFrames, "udp", 1)
 			if len(ep.queue) >= ep.depth {
 				drop := len(ep.queue) - ep.depth + 1
 				ep.queue = ep.queue[drop:]
 				ep.overwritten += drop
-				if ep.sink != nil {
-					ep.sink.Count(obs.MOverwrites, "udp", float64(drop))
-				}
+				ep.sink.Count(obs.MOverwrites, "udp", float64(drop))
 			}
 			ep.queue = append(ep.queue, inFrame{m: m, from: from})
 		}

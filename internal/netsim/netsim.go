@@ -19,7 +19,6 @@ import (
 	"sort"
 
 	"lgvoffload/internal/geom"
-	"lgvoffload/internal/mw"
 	"lgvoffload/internal/obs"
 )
 
@@ -187,8 +186,8 @@ type Link struct {
 	sent, dropped int
 	stats         Stats
 
-	sink   obs.Sink   // nil when telemetry is off (the default)
-	impair Impairment // nil when no fault schedule is attached
+	sink   *obs.Telemetry // nil when telemetry is off (the default)
+	impair Impairment     // nil when no fault schedule is attached
 }
 
 // NewLink creates a link with deterministic randomness.
@@ -211,9 +210,9 @@ func NewLink(cfg LinkConfig, rng *rand.Rand) *Link {
 // Config returns the link configuration.
 func (l *Link) Config() LinkConfig { return l.cfg }
 
-// SetSink attaches a telemetry sink; pass nil to detach. Every metric
-// write is guarded so the nil (default) path adds one branch per Send.
-func (l *Link) SetSink(s obs.Sink) { l.sink = s }
+// SetSink attaches a telemetry sink; pass nil to detach. The nil
+// (default) path costs one receiver check per metric write.
+func (l *Link) SetSink(s *obs.Telemetry) { l.sink = s }
 
 // SetImpairment attaches a fault source consulted on every Send; pass
 // nil to detach. The nil (default) path costs one branch per packet.
@@ -341,9 +340,7 @@ func (l *Link) SendDirDetail(now float64, size int, dir Dir) (arriveAt float64, 
 			// occupying the kernel buffer.
 			l.dropped++
 			l.stats.DroppedImpair++
-			if l.sink != nil {
-				l.sink.Count(obs.MLinkDropped, "", 1)
-			}
+			l.sink.Count(obs.MLinkDropped, "", 1)
 			return 0, true, 0
 		}
 		if v.SignalCap < s {
@@ -351,10 +348,8 @@ func (l *Link) SendDirDetail(now float64, size int, dir Dir) (arriveAt float64, 
 		}
 		corrupt = v.Corrupt
 	}
-	if l.sink != nil {
-		l.sink.Count(obs.MLinkSent, "", 1)
-		l.sink.SetGauge(obs.MLinkSignal, "", s)
-	}
+	l.sink.Count(obs.MLinkSent, "", 1)
+	l.sink.SetGauge(obs.MLinkSignal, "", s)
 
 	// Drain the kernel buffer for the time elapsed since the last send.
 	if now > l.lastDrain {
@@ -370,9 +365,7 @@ func (l *Link) SendDirDetail(now float64, size int, dir Dir) (arriveAt float64, 
 		if l.buffered >= float64(l.cfg.KernelBuf) {
 			l.dropped++
 			l.stats.DroppedOverflow++
-			if l.sink != nil {
-				l.sink.Count(obs.MLinkDropped, "", 1)
-			}
+			l.sink.Count(obs.MLinkDropped, "", 1)
 			return 0, true, 0 // silent discard: sender never learns
 		}
 		l.buffered++
@@ -392,9 +385,7 @@ func (l *Link) SendDirDetail(now float64, size int, dir Dir) (arriveAt float64, 
 	if l.rng.Float64() < pLoss {
 		l.dropped++
 		l.stats.DroppedLoss++
-		if l.sink != nil {
-			l.sink.Count(obs.MLinkDropped, "", 1)
-		}
+		l.sink.Count(obs.MLinkDropped, "", 1)
 		return 0, true, 0
 	}
 
@@ -403,9 +394,7 @@ func (l *Link) SendDirDetail(now float64, size int, dir Dir) (arriveAt float64, 
 		// but the receiver's decoder rejects it: an effective loss.
 		l.dropped++
 		l.stats.DroppedCorrupt++
-		if l.sink != nil {
-			l.sink.Count(obs.MLinkDropped, "", 1)
-		}
+		l.sink.Count(obs.MLinkDropped, "", 1)
 		return 0, true, 0
 	}
 
@@ -426,9 +415,7 @@ func (l *Link) SendDirDetail(now float64, size int, dir Dir) (arriveAt float64, 
 		lat += math.Abs(l.rng.NormFloat64()) * l.cfg.JitterSec
 	}
 	lat += float64(size) / serBytesPerSec
-	if l.sink != nil {
-		l.sink.Observe(obs.MLinkLatencySeconds, "", lat)
-	}
+	l.sink.Observe(obs.MLinkLatencySeconds, "", lat)
 	l.stats.Delivered++
 	return now + lat, false, queueDelay
 }
@@ -438,30 +425,6 @@ func (l *Link) Counters() (sent, dropped int) { return l.sent, l.dropped }
 
 // Stats returns the full packet ledger with per-cause drop attribution.
 func (l *Link) Stats() Stats { return l.stats }
-
-// Fabric adapts a Link to the middleware's Fabric interface: transfers
-// between distinct hosts traverse the wireless link; same-host transfers
-// are instant.
-type Fabric struct {
-	Link *Link
-	// Robot, when set, identifies the vehicle host so cross-host
-	// transfers carry a direction (uplink when the robot sends,
-	// downlink otherwise). Empty means every transfer counts as uplink,
-	// preserving the direction-blind behaviour.
-	Robot mw.HostID
-}
-
-// Transfer implements mw.Fabric.
-func (f Fabric) Transfer(from, to mw.HostID, size int, now float64) (float64, bool) {
-	if from == to {
-		return now, false
-	}
-	dir := DirUp
-	if f.Robot != "" && from != f.Robot {
-		dir = DirDown
-	}
-	return f.Link.SendDir(now, size, dir)
-}
 
 // BandwidthMeter computes the paper's "packet bandwidth" metric: the
 // number of messages received in a sliding window (default 1 s), giving

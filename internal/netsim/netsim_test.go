@@ -233,26 +233,6 @@ func TestLatencyMeterQuantiles(t *testing.T) {
 	}
 }
 
-func TestFabricLocalBypassesLink(t *testing.T) {
-	l := link(7)
-	l.SetRobotPos(geom.V(20, 0)) // dead zone
-	f := Fabric{Link: l}
-	arrive, dropped := f.Transfer("lgv", "lgv", 100, 3.5)
-	if dropped || arrive != 3.5 {
-		t.Error("same-host transfer must be instant and lossless")
-	}
-	// Cross-host goes through the (dead) link.
-	drops := 0
-	for i := 0; i < 50; i++ {
-		if _, d := f.Transfer("lgv", "cloud", 100, float64(i)); d {
-			drops++
-		}
-	}
-	if drops == 0 {
-		t.Error("dead-zone transfers should mostly drop")
-	}
-}
-
 func TestCountersAndWANLatency(t *testing.T) {
 	edge := NewLink(DefaultEdgeLink(geom.V(0, 0)), rand.New(rand.NewSource(8)))
 	cloud := NewLink(DefaultCloudLink(geom.V(0, 0)), rand.New(rand.NewSource(8)))

@@ -280,8 +280,8 @@ func flightSanitize(s string) string {
 // VerifyFlightBundle structurally validates a bundle: version tag,
 // header/body counts agree, frame times are nondecreasing and inside
 // the declared window, and no frame line follows an event line. Shared
-// by the unit tests and `lgvsim -flight-verify` so CI smoke and tests
-// agree on what a well-formed bundle is.
+// by the unit tests and `lgvsim -verify` so CI smoke and tests agree on
+// what a well-formed bundle is.
 func VerifyFlightBundle(data []byte) (FlightBundle, error) {
 	var info FlightBundle
 	sc := bufio.NewScanner(bytes.NewReader(data))

@@ -37,8 +37,8 @@ func TestLiveHubStalledSubscriberNeverBlocks(t *testing.T) {
 	}
 }
 
-// TestLiveHubEmitNeverBlocks drives the same guarantee through the Sink
-// face the Telemetry tee uses.
+// TestLiveHubEmitNeverBlocks drives the same guarantee through the
+// EventSink face the Telemetry tee uses.
 func TestLiveHubEmitNeverBlocks(t *testing.T) {
 	h := NewLiveHub(4)
 	ch, _ := h.subscribe()

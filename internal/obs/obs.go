@@ -19,22 +19,6 @@ import (
 	"sync/atomic"
 )
 
-// Sink receives telemetry from instrumented components (the mission
-// engine, the middleware bus and endpoints, the wireless link, the
-// real-socket switcher). A nil *Telemetry implements it as a no-op;
-// holders of a Sink interface value should nil-check the interface
-// itself before calling to keep the disabled path free.
-type Sink interface {
-	// Count increments the counter name+label by delta.
-	Count(name, label string, delta float64)
-	// SetGauge stores the latest value of gauge name+label.
-	SetGauge(name, label string, v float64)
-	// Observe records one sample in histogram name+label.
-	Observe(name, label string, v float64)
-	// Emit appends one event to the timeline.
-	Emit(ev Event)
-}
-
 // EventSink receives every event a Telemetry emits once its timeline
 // holds it; attach one with Telemetry.Tee.
 type EventSink interface {
@@ -94,9 +78,6 @@ const (
 	// MDecodeErrors counts real-socket frames that failed to decode.
 	// Label: transport.
 	MDecodeErrors = "endpoint_decode_errors"
-	// MBacklog gauges frames queued but not yet polled — the stale-data
-	// backlog a reliable transport accumulates. Label: transport.
-	MBacklog = "endpoint_backlog"
 	// MFaultsInjected counts disturbances injected by the fault
 	// schedule. Label: fault kind.
 	MFaultsInjected = "faults_injected"
@@ -108,10 +89,11 @@ const (
 	// MReconnects counts worker links re-established after being
 	// declared dead. Label: transport or peer.
 	MReconnects = "reconnects"
-	// Critical-path decomposition of the per-tick VDP makespan (fed by
-	// the tracing layer, internal/spans): compute seconds labelled by
-	// host, queue/transport seconds labelled by link direction. The
-	// three segments of one tick sum to that tick's makespan.
+	// Critical-path decomposition of the per-tick VDP makespan, fed by
+	// the engine's control tick whenever telemetry is on (tracing not
+	// required): compute seconds labelled by host, queue/transport
+	// seconds labelled by link direction. The three segments of one
+	// tick sum to that tick's makespan.
 	MCritComputeSeconds   = "critpath_compute_seconds"   // label: host
 	MCritQueueSeconds     = "critpath_queue_seconds"     // label: up|down
 	MCritTransportSeconds = "critpath_transport_seconds" // label: up|down
@@ -141,11 +123,12 @@ const (
 	MServeAdmitWaitSeconds = "serve_admit_wait_seconds"
 )
 
-// Telemetry bundles a registry and a timeline and implements Sink plus
-// the semantic hooks the engine calls. The zero value is not usable —
-// construct with NewTelemetry — but a nil *Telemetry is a valid no-op:
-// every method checks the receiver, so instrumented code can call hooks
-// unconditionally.
+// Telemetry bundles a registry and a timeline with the semantic hooks
+// the engine calls; the wireless link, the fault schedule, the UDP
+// endpoint and the real-socket switcher hold one too. The zero value is
+// not usable — construct with NewTelemetry — but a nil *Telemetry is a
+// valid no-op: every method checks the receiver, so instrumented code
+// can call hooks unconditionally.
 type Telemetry struct {
 	Reg      *Registry
 	Timeline *Timeline
@@ -193,7 +176,7 @@ func (t *Telemetry) Phase() string {
 	return t.phase
 }
 
-// Count implements Sink.
+// Count increments the counter name+label by delta.
 func (t *Telemetry) Count(name, label string, delta float64) {
 	if t == nil {
 		return
@@ -201,7 +184,7 @@ func (t *Telemetry) Count(name, label string, delta float64) {
 	t.Reg.Add(name, label, delta)
 }
 
-// SetGauge implements Sink.
+// SetGauge stores the latest value of gauge name+label.
 func (t *Telemetry) SetGauge(name, label string, v float64) {
 	if t == nil {
 		return
@@ -209,7 +192,7 @@ func (t *Telemetry) SetGauge(name, label string, v float64) {
 	t.Reg.Set(name, label, v)
 }
 
-// Observe implements Sink.
+// Observe records one sample in histogram name+label.
 func (t *Telemetry) Observe(name, label string, v float64) {
 	if t == nil {
 		return
@@ -237,8 +220,8 @@ func (t *Telemetry) Tee(s EventSink) {
 	t.tee.Store(teeBox{sinks: append(sinks, s)})
 }
 
-// Emit implements Sink: it stamps the current phase, appends to the
-// timeline and forwards to the teed sinks, if any.
+// Emit stamps the current phase, appends ev to the timeline and
+// forwards it to the teed sinks, if any.
 func (t *Telemetry) Emit(ev Event) {
 	if t == nil {
 		return

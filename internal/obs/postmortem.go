@@ -71,7 +71,7 @@ func WritePostMortem(w io.Writer, t *Telemetry, missionTime float64) error {
 			p50.Count, p50.P50*1000, p50.P95*1000, p50.P99*1000)
 	}
 
-	// --- Critical-path decomposition (present when tracing was on). ----------
+	// --- Critical-path decomposition (fed every tick telemetry is on). -------
 	anyCrit := false
 	for _, p := range snap {
 		switch p.Name {

@@ -31,7 +31,6 @@ var promLabelKey = map[string]string{
 	MReconnects:           "peer",
 	MFrames:               "transport",
 	MDecodeErrors:         "transport",
-	MBacklog:              "transport",
 	MFaultsInjected:       "kind",
 	MCritComputeSeconds:   "host",
 	MCritQueueSeconds:     "dir",
@@ -171,8 +170,8 @@ func promFloat(v float64) string {
 // metric-name syntax, label syntax (quoted, escaped values), numeric
 // sample values, and that every sample belongs to a family declared by
 // a preceding # TYPE line. Shared by the exporter's unit test and
-// `lgvsim -prom-verify`, so the CI smoke test and the tests agree on
-// what "valid" means.
+// `lgvsim -verify`, so the CI smoke test and the tests agree on what
+// "valid" means.
 func ValidatePrometheusText(data []byte) (int, error) {
 	types := map[string]string{} // family name -> type
 	samples := 0

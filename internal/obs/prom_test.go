@@ -23,8 +23,8 @@ func promTestRegistry() *Registry {
 }
 
 // TestWritePrometheusValidates is the acceptance check: the exporter's
-// own output must satisfy the shared validator that `lgvsim
-// -prom-verify` applies to scraped /metrics.prom bodies.
+// own output must satisfy the shared validator that `lgvsim -verify`
+// applies to scraped /metrics.prom bodies.
 func TestWritePrometheusValidates(t *testing.T) {
 	var buf bytes.Buffer
 	if err := promTestRegistry().WritePrometheus(&buf, "lgv"); err != nil {

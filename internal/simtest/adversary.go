@@ -65,7 +65,7 @@ type AdversaryOpts struct {
 	// MaxWindows caps the number of windows in a schedule. Default 4.
 	MaxWindows int
 	// Sink, when non-nil, receives adversary progress metrics.
-	Sink obs.Sink
+	Sink *obs.Telemetry
 	// Logf, when non-nil, receives one line per improvement.
 	Logf func(format string, args ...any)
 }
@@ -158,9 +158,7 @@ func FindWorstSchedule(base Scenario, opts AdversaryOpts) (*AdversaryResult, err
 			return 0, err
 		}
 		res.Evals++
-		if opts.Sink != nil {
-			opts.Sink.Count(obs.MAdvEvals, "", 1)
-		}
+		opts.Sink.Count(obs.MAdvEvals, "", 1)
 		if opts.Metric == "time" {
 			return o.Res.TotalTime, nil
 		}
@@ -225,9 +223,7 @@ func FindWorstSchedule(base Scenario, opts AdversaryOpts) (*AdversaryResult, err
 		if s > curScore {
 			cur, curScore = cand, s
 			res.Improvements++
-			if opts.Sink != nil {
-				opts.Sink.SetGauge(obs.MAdvWorstScore, "", curScore)
-			}
+			opts.Sink.SetGauge(obs.MAdvWorstScore, "", curScore)
 			if opts.Logf != nil {
 				opts.Logf("adv: eval %d/%d improved %s to %.1f with %q",
 					i+1, opts.Evals, opts.Metric, curScore, renderAdvSpec(cand))

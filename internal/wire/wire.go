@@ -111,14 +111,6 @@ const (
 	HeaderVersion = HeaderV2
 )
 
-// Traced is implemented by messages that carry causal trace context in
-// their header (see internal/spans); the middleware uses it to stitch
-// transport spans onto the sender's trace without knowing the concrete
-// message type.
-type Traced interface {
-	TraceContext() (traceID, parentSpan uint64)
-}
-
 // Decoder reads primitive values from a byte buffer. The first error
 // sticks: once a read fails, all subsequent reads return zero values and
 // Err reports the failure, letting callers decode whole structs and check

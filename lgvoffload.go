@@ -2,9 +2,9 @@
 // Practical Cloud Offloading for Low-cost Ground Vehicle Workloads"
 // (IPDPS 2021): an end-to-end cloud-robotic offloading framework with a
 // fully simulated substrate — a 2-D world and differential-drive vehicle,
-// laser/odometry sensing, a ROS-like middleware, a wireless network with
-// UDP best-effort semantics, calibrated compute-platform models, and the
-// complete LGV workload pipeline (AMCL, GMapping SLAM, layered costmaps,
+// laser/odometry sensing, a wireless network with UDP best-effort
+// semantics carrying the scan uplink and command downlink, calibrated
+// compute-platform models, and the complete LGV workload pipeline (AMCL, GMapping SLAM, layered costmaps,
 // A*/Dijkstra planning, frontier exploration, DWA path tracking and a
 // velocity multiplexer).
 //

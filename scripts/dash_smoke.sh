@@ -6,7 +6,7 @@
 # health/readiness probes — and finally read the store back with
 # cmd/lgvstore. A second, deliberately SLO-breaching mission checks that
 # a breach flips /health to 503 and freezes a flight bundle that
-# `lgvsim -flight-verify` accepts. Exercises exactly what a user gets
+# `lgvsim -verify` accepts. Exercises exactly what a user gets
 # from `lgvsim -store ... -http ... -slo ... -flightrec`.
 set -eu
 
@@ -54,7 +54,7 @@ curl -sN --max-time 5 "http://$ADDR/live" | grep -q -m1 "event: hello"
 # (checked by the same validator the exporter's unit test uses) and the
 # health probes must report a breach-free mission as live and ready.
 curl -sf "http://$ADDR/metrics.prom" >"$BIN/metrics.prom"
-"$BIN/lgvsim" -prom-verify "$BIN/metrics.prom"
+"$BIN/lgvsim" -verify "$BIN/metrics.prom"
 curl -sf "http://$ADDR/health" | grep -q '"healthy": *true'
 curl -sf "http://$ADDR/ready" | grep -q '"ready": *true'
 
@@ -90,7 +90,7 @@ trap - EXIT
 # The breach dump landed in -flight-dir and must verify structurally.
 BUNDLE=$(ls "$FLIGHT_DIR"/flight-*.jsonl 2>/dev/null | head -1)
 [ -n "$BUNDLE" ] || { echo "dash-smoke: breach produced no flight bundle"; cat "$BIN/lgvsim-breach.log"; exit 1; }
-"$BIN/lgvsim" -flight-verify "$BUNDLE"
+"$BIN/lgvsim" -verify "$BUNDLE"
 
 # And under -slo-strict the same breached mission is a CI failure (3).
 set +e
