@@ -86,14 +86,16 @@ advhunt:
 		-evals $(ADV_EVALS) -min-gain $(MIN_GAIN) \
 		-repros internal/simtest/testdata/repros
 
-# Fuzz smoke over every fuzz target (wire decode, grid parser and beam
-# update, costmap footprint, msg header): quick enough for CI, long
-# enough to catch shallow regressions against the committed corpora.
+# Fuzz smoke over every fuzz target (wire decode, grid parser, beam
+# update and exact beam walk, costmap footprint, msg header): quick
+# enough for CI, long enough to catch shallow regressions against the
+# committed corpora.
 fuzz-smoke:
 	go test -run '^$$' -fuzz FuzzDecodeFrame -fuzztime 10s ./internal/wire
 	go test -run '^$$' -fuzz FuzzRoundtrip -fuzztime 10s ./internal/wire
 	go test -run '^$$' -fuzz FuzzParseText -fuzztime 10s ./internal/grid
 	go test -run '^$$' -fuzz FuzzIntegrateBeamFixed -fuzztime 10s ./internal/grid
+	go test -run '^$$' -fuzz FuzzIntegrateBeamExact -fuzztime 10s ./internal/grid
 	go test -run '^$$' -fuzz FuzzFootprintCost -fuzztime 10s ./internal/costmap
 	go test -run '^$$' -fuzz FuzzHeaderDecode -fuzztime 30s ./internal/msg
 

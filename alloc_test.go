@@ -197,3 +197,32 @@ func TestAllocTimelineTracerEnabledSteadyState(t *testing.T) {
 		t.Fatal("rings never wrapped; the bound is untested")
 	}
 }
+
+// TestAllocSLAMMapSteadyState: the filter builds its ternary map into a
+// buffer it owns, at most once per update. With the tile working set
+// warm, Map with no update since the last call allocates nothing, and an
+// update followed by Map stays within the update's budget.
+func TestAllocSLAMMapSteadyState(t *testing.T) {
+	ds := trace.LabDataset(11, 4)
+	cfg := slam.DefaultConfig(ds.Map.Width, ds.Map.Height, ds.Map.Resolution, ds.Map.Origin)
+	cfg.NumParticles = 8
+	cfg.ResampleNeff = 0 // isolate the update path from COW clone traffic
+	s := slam.New(cfg, rand.New(rand.NewSource(7)))
+	s.SetInitialPose(ds.Start)
+	e := ds.Entries[0]
+	still := geom.Pose{}
+	for i := 0; i < 3; i++ { // allocate the beam's tiles once
+		s.UpdateParallel(still, e.Scan, 4, slam.Block)
+		s.Map()
+	}
+	if allocs := testing.AllocsPerRun(100, func() { s.Map() }); allocs != 0 {
+		t.Errorf("Map with no update since the last call allocates %.1f/op, want 0", allocs)
+	}
+	allocs := testing.AllocsPerRun(10, func() {
+		s.UpdateParallel(still, e.Scan, 4, slam.Block)
+		s.Map()
+	})
+	if allocs > 2 {
+		t.Errorf("UpdateParallel + Map steady state allocates %.1f/op, want <= 2", allocs)
+	}
+}

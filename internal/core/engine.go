@@ -397,6 +397,12 @@ type engine struct {
 	goalStartPos geom.Vec2   // robot position at that moment
 	path         []geom.Vec2
 	havePth      bool
+	// SLAM update counts at which the costmap's static layer was last
+	// loaded and exploration progress last computed: both read the SLAM
+	// map, which changes only in an update.
+	staticAt   int
+	progressAt int
+	progress   float64
 
 	// Runtime state.
 	placement Placement
@@ -743,14 +749,17 @@ func (e *engine) checkDone() (done bool, reason string, success bool) {
 			return true, fmt.Sprintf("sweep complete (%.0f%% covered)", cov*100), cov >= 0.75
 		}
 	case ExplorationNoMap:
-		if e.slm.Updates() > 10 {
-			if p := explore.Progress(e.slm.Map(), e.cfg.Map); p >= e.cfg.ExploreTarget {
+		if n := e.slm.Updates(); n > 10 {
+			if e.progressAt != n {
+				e.progress, e.progressAt = explore.Progress(e.slm.Map(), e.cfg.Map), n
+			}
+			p := e.progress
+			if p >= e.cfg.ExploreTarget {
 				return true, fmt.Sprintf("explored %.0f%%", p*100), true
 			}
-			if !e.haveEx && e.slm.Updates() > 20 {
+			if !e.haveEx && n > 20 {
 				// No goal and nothing left to explore.
 				if _, _, ok := explore.NextGoal(e.slm.Map(), e.w.Robot.Pose.Pos, e.exCfg); !ok {
-					p := explore.Progress(e.slm.Map(), e.cfg.Map)
 					return true, fmt.Sprintf("frontiers exhausted at %.0f%%", p*100),
 						p >= 0.5
 				}

@@ -134,9 +134,15 @@ func (e *engine) controlTick(now float64) {
 	}
 
 	// --- CostmapGen. --------------------------------------------------------
-	if cfg.Workload == ExplorationNoMap && e.slm.Updates() > 0 {
-		// The SLAM map refreshes the static layer before obstacle marking.
-		e.cm.SetStatic(e.slm.Map())
+	if cfg.Workload == ExplorationNoMap {
+		// A new SLAM map refreshes the static layer before obstacle
+		// marking; Update then rebuilds the master grid from both layers.
+		// staticAt starts at 0, so the layer stays free until the first
+		// update.
+		if n := e.slm.Updates(); n != e.staticAt {
+			e.cm.LoadStatic(e.slm.Map())
+			e.staticAt = n
+		}
 	}
 	cmStats := e.cm.Update(e.pose, scan)
 	cmWork := CostmapWork(cmStats.Total())

@@ -173,10 +173,20 @@ func (c *Costmap) CellToWorld(cell geom.Cell) geom.Vec2 {
 	}
 }
 
-// SetStatic loads the static layer from an occupancy map (known map for
-// navigation, or the SLAM map during exploration) and rebuilds the
-// master grid. The map must share the costmap's geometry.
+// SetStatic loads the static layer from an occupancy map and rebuilds
+// the master grid, so the costmap reads right after it. The mission
+// engine calls it once, with the known map of a navigation or coverage
+// mission. The map must share the costmap's geometry.
 func (c *Costmap) SetStatic(m *grid.Map) UpdateStats {
+	c.LoadStatic(m)
+	return c.rebuild()
+}
+
+// LoadStatic loads the static layer from an occupancy map without
+// rebuilding the master grid; the next Update rebuilds it. During
+// exploration the engine loads each new SLAM map this way just before
+// that Update. The map must share the costmap's geometry.
+func (c *Costmap) LoadStatic(m *grid.Map) {
 	for i, v := range m.Cells {
 		switch v {
 		case grid.Occupied:
@@ -191,7 +201,6 @@ func (c *Costmap) SetStatic(m *grid.Map) UpdateStats {
 			c.static[i] = FreeCost
 		}
 	}
-	return c.rebuild()
 }
 
 // Update applies one laser scan taken from the given pose: clears the

@@ -2,6 +2,7 @@ package grid
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -82,6 +83,17 @@ func TestLogisticTableDefinition(t *testing.T) {
 	}
 }
 
+// The update rule in log-odds units, before quantization. The exact
+// reference below quantizes these, which pins qOcc, qFree, qMin and qMax.
+var (
+	lOcc  = logit(0.7)
+	lFree = logit(0.4)
+)
+
+const lMin, lMax = -4.0, 4.0
+
+func logit(p float64) float64 { return math.Log(p / (1 - p)) }
+
 // floatRefGrid is a plain float64 log-odds grid implementing the same
 // beam update rule as LogOdds, used as the reference the fixed-point
 // implementation is checked against.
@@ -100,11 +112,11 @@ func (r *floatRefGrid) integrate(from, end geom.Vec2, hit bool) {
 		i := c.Y*r.g.Width + c.X
 		if c == b {
 			if hit {
-				r.l[i] = math.Min(r.l[i]+r.g.LOcc, r.g.LMax)
+				r.l[i] = math.Min(r.l[i]+lOcc, lMax)
 			}
 			return false
 		}
-		r.l[i] = math.Max(r.l[i]+r.g.LFree, r.g.LMin)
+		r.l[i] = math.Max(r.l[i]+lFree, lMin)
 		return true
 	})
 }
@@ -159,8 +171,7 @@ func TestIntegrateBeamMatchesFloatReference(t *testing.T) {
 }
 
 // TestIntegrateBeamClampSaturation drives cells against both clamp
-// bounds, including bounds beyond the representable fixed-point range,
-// which must saturate at the int16 limits instead of wrapping.
+// bounds, which they must reach exactly and never cross.
 func TestIntegrateBeamClampSaturation(t *testing.T) {
 	g := NewLogOdds(20, 20, 0.1, geom.V(0, 0))
 	from := geom.V(0.15, 1.05)
@@ -168,25 +179,12 @@ func TestIntegrateBeamClampSaturation(t *testing.T) {
 		g.IntegrateBeam(from, 0, 1.0, true)
 	}
 	endCell := g.WorldToCell(from.Add(geom.V(1, 0)))
-	if got := g.At(endCell); got != Dequantize(Quantize(g.LMax)) {
-		t.Errorf("occupied clamp: At = %v, want %v", got, Dequantize(Quantize(g.LMax)))
+	if got := g.AtQ(endCell); got != qMax {
+		t.Errorf("occupied clamp: AtQ = %d, want %d", got, qMax)
 	}
 	midCell := g.WorldToCell(from.Add(geom.V(0.5, 0)))
-	if got := g.At(midCell); got != Dequantize(Quantize(g.LMin)) {
-		t.Errorf("free clamp: At = %v, want %v", got, Dequantize(Quantize(g.LMin)))
-	}
-
-	// Bounds past the representable range saturate at ±quantMax quanta.
-	g2 := NewLogOdds(20, 20, 0.1, geom.V(0, 0))
-	g2.LMax, g2.LMin = 100, -100
-	for i := 0; i < 50000; i++ {
-		g2.IntegrateBeam(from, 0, 1.0, true)
-	}
-	if q := g2.AtQ(endCell); q != quantMax {
-		t.Errorf("unbounded occupied accumulation: q = %d, want %d", q, quantMax)
-	}
-	if q := g2.AtQ(midCell); q != -quantMax {
-		t.Errorf("unbounded free accumulation: q = %d, want %d", q, -quantMax)
+	if got := g.AtQ(midCell); got != qMin {
+		t.Errorf("free clamp: AtQ = %d, want %d", got, qMin)
 	}
 }
 
@@ -213,5 +211,128 @@ func TestIntegrateBeamToMatchesIntegrateBeam(t *testing.T) {
 				t.Fatalf("cell (%d,%d) differs", x, y)
 			}
 		}
+	}
+}
+
+// exactRefGrid is the fixed-point reference for the beam walk: a plain
+// int16 grid walked by geom.Bresenham, with the update rule applied
+// through int32 arithmetic and explicit clamps.
+type exactRefGrid struct {
+	g *LogOdds
+	q []int16
+}
+
+func newExactRef(g *LogOdds) *exactRefGrid {
+	return &exactRefGrid{g: g, q: make([]int16, g.Width*g.Height)}
+}
+
+// integrate applies one beam and returns the cells the walk visited and
+// the number of distinct tiles it wrote.
+func (r *exactRefGrid) integrate(from, end geom.Vec2, hit bool) (n, tiles int) {
+	occ, free := int32(Quantize(lOcc)), int32(Quantize(lFree))
+	lo, hi := int32(Quantize(lMin)), int32(Quantize(lMax))
+	a, b := r.g.WorldToCell(from), r.g.WorldToCell(end)
+	written := map[geom.Cell]bool{}
+	geom.Bresenham(a, b, func(c geom.Cell) bool {
+		if !r.g.InBounds(c) {
+			return false
+		}
+		n++
+		i := c.Y*r.g.Width + c.X
+		switch {
+		case c != b:
+			r.q[i] = int16(max(int32(r.q[i])+free, lo))
+		case hit:
+			r.q[i] = int16(min(int32(r.q[i])+occ, hi))
+		default:
+			return false
+		}
+		written[geom.Cell{X: c.X / tileDim, Y: c.Y / tileDim}] = true
+		return c != b
+	})
+	return n, len(written)
+}
+
+// exactBeamCheck integrates one beam into a copy-on-write clone of *g
+// and into the reference, and requires the same visited count, one
+// tile's copy charged per distinct tile written, an untouched source
+// and identical cells. *g becomes the clone.
+func exactBeamCheck(t *testing.T, g **LogOdds, ref *exactRefGrid, from, end geom.Vec2, hit bool) {
+	t.Helper()
+	src := *g
+	before := src.Clone()
+	c := src.Clone()
+	n := c.IntegrateBeamTo(from, end, hit)
+	wantN, tiles := ref.integrate(from, end, hit)
+	if n != wantN {
+		t.Fatalf("beam %v→%v hit=%v: count %d, want %d", from, end, hit, n, wantN)
+	}
+	if got := c.TakeCopied(); got != tiles*TileCells {
+		t.Fatalf("beam %v→%v hit=%v: copied %d cells, want %d tiles × %d",
+			from, end, hit, got, tiles, TileCells)
+	}
+	for y := 0; y < c.Height; y++ {
+		for x := 0; x < c.Width; x++ {
+			cell := geom.Cell{X: x, Y: y}
+			if got, want := c.AtQ(cell), ref.q[y*c.Width+x]; got != want {
+				t.Fatalf("beam %v→%v hit=%v: cell %v q=%d, want %d", from, end, hit, cell, got, want)
+			}
+			if src.AtQ(cell) != before.AtQ(cell) {
+				t.Fatalf("beam %v→%v hit=%v: write leaked into the source at %v", from, end, hit, cell)
+			}
+		}
+	}
+	before.Release()
+	src.Release()
+	*g = c
+}
+
+// TestIntegrateBeamMatchesExactReference checks the beam walk cell for
+// cell, count for count and copy for copy against the Bresenham
+// reference: every octant and both axes, tile-border crossings,
+// zero-length beams, beams that start off the grid and beams that leave
+// it, repeated until cells sit on both clamps, then random beams.
+func TestIntegrateBeamMatchesExactReference(t *testing.T) {
+	// 70×45 cells: two full tile columns plus a partial one, one full
+	// tile row plus a partial one, and an origin off the lattice.
+	g := NewLogOdds(70, 45, 0.1, geom.V(-1.3, 0.7))
+	ref := newExactRef(g)
+	center := func(x, y int) geom.Vec2 { return g.CellToWorld(geom.Cell{X: x, Y: y}) }
+	type beam struct {
+		a, b [2]int
+		hit  bool
+	}
+	var beams []beam
+	// Every octant and axis from a cell one short of a tile corner.
+	for _, d := range [][2]int{{9, 0}, {9, 4}, {9, 9}, {4, 9}, {0, 9}, {-4, 9}, {-9, 9},
+		{-9, 4}, {-9, 0}, {-9, -4}, {-9, -9}, {-4, -9}, {0, -9}, {4, -9}, {9, -9}, {9, -4}} {
+		beams = append(beams, beam{[2]int{31, 31}, [2]int{31 + d[0], 31 + d[1]}, true},
+			beam{[2]int{32, 32}, [2]int{32 + 3*d[0], 12 + d[1]}, false})
+	}
+	beams = append(beams,
+		beam{[2]int{5, 5}, [2]int{5, 5}, true},     // zero length, hit
+		beam{[2]int{6, 5}, [2]int{6, 5}, false},    // zero length, miss
+		beam{[2]int{0, 0}, [2]int{69, 44}, true},   // corner to corner
+		beam{[2]int{69, 0}, [2]int{0, 44}, false},  // the other diagonal
+		beam{[2]int{-5, 10}, [2]int{20, 10}, true}, // starts off the grid
+		beam{[2]int{10, -3}, [2]int{-4, -3}, true}, // never on the grid
+		beam{[2]int{60, 40}, [2]int{80, 50}, true}, // leaves across the corner
+		beam{[2]int{35, 20}, [2]int{35, 45}, true}, // leaves through the top edge
+		beam{[2]int{3, 20}, [2]int{-1, 22}, false}, // leaves through the left edge
+	)
+	for rep := 0; rep < 12; rep++ { // enough hits and misses to reach both clamps
+		for _, bm := range beams {
+			exactBeamCheck(t, &g, ref, center(bm.a[0], bm.a[1]), center(bm.b[0], bm.b[1]), bm.hit)
+		}
+	}
+	if g.AtQ(geom.Cell{X: 5, Y: 5}) != qMax || g.AtQ(geom.Cell{X: 1, Y: 1}) != qMin {
+		t.Fatal("repeated beams did not reach the clamps")
+	}
+	rng := rand.New(rand.NewSource(16))
+	world := func() geom.Vec2 { // up to 2 m past every edge
+		return geom.V(-3.3+11*rng.Float64(), -1.3+8.5*rng.Float64())
+	}
+	for i := 0; i < 400; i++ {
+		exactBeamCheck(t, &g, ref, world(), world(), rng.Intn(3) > 0)
 	}
 }

@@ -55,7 +55,7 @@ func FuzzIntegrateBeamFixed(f *testing.F) {
 		if n < 0 {
 			t.Fatalf("negative cell count %d", n)
 		}
-		lo, hi := Quantize(math.Min(g.LMin, 0)), Quantize(math.Max(g.LMax, 0))
+		lo, hi := qMin, qMax
 		for y := 0; y < g.Height; y++ {
 			for x := 0; x < g.Width; x++ {
 				c := geom.Cell{X: x, Y: y}
@@ -67,6 +67,31 @@ func FuzzIntegrateBeamFixed(f *testing.F) {
 					t.Fatalf("cell (%d,%d) diverged from float reference by %v", x, y, d)
 				}
 			}
+		}
+	})
+}
+
+// FuzzIntegrateBeamExact throws arbitrary beams, each repeated up to 16
+// times, at the beam walk and requires exact agreement with the
+// Bresenham reference: every cell, the visited count and the
+// copy-on-write charge.
+func FuzzIntegrateBeamExact(f *testing.F) {
+	f.Add(0.35, 2.45, 3.05, 2.45, true, uint8(0))   // along a row, across a tile border
+	f.Add(1.95, 1.95, -0.75, 4.05, false, uint8(3)) // steep, up and to the left
+	f.Add(-2.0, 1.0, 3.0, 2.0, true, uint8(1))      // starts off the grid
+	f.Add(4.0, 3.0, 9.5, 6.5, true, uint8(2))       // leaves across the corner
+	f.Add(2.0, 2.0, 2.0, 2.0, true, uint8(15))      // zero length, to the clamp
+	f.Add(5.65, 5.15, -1.25, 0.75, false, uint8(15))
+	f.Fuzz(func(t *testing.T, fx, fy, ex, ey float64, hit bool, reps uint8) {
+		for _, v := range []float64{fx, fy, ex, ey} {
+			if math.IsNaN(v) || math.Abs(v) > 1e6 {
+				return
+			}
+		}
+		g := NewLogOdds(70, 45, 0.1, geom.V(-1.3, 0.7))
+		ref := newExactRef(g)
+		for i := 0; i <= int(reps%16); i++ {
+			exactBeamCheck(t, &g, ref, geom.V(fx, fy), geom.V(ex, ey), hit)
 		}
 	})
 }

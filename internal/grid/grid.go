@@ -211,34 +211,39 @@ func Dequantize(q int16) float64 { return float64(q) * (1.0 / QuantScale) }
 const lutOff = 32768
 
 var (
-	lutOnce     sync.Once
 	logisticTab [2 * lutOff]float64
 	scoreTab    [2 * lutOff]float64
 )
 
-func initLUT() {
-	lutOnce.Do(func() {
-		for i := range logisticTab {
-			p := 1 / (1 + math.Exp(-Dequantize(int16(i-lutOff))))
-			logisticTab[i] = p
-			scoreTab[i] = 2*p - 1
-		}
-	})
+// The tables are filled once at package initialisation, so the probe
+// path reads them with no guard.
+func init() {
+	for i := range logisticTab {
+		p := 1 / (1 + math.Exp(-Dequantize(int16(i-lutOff))))
+		logisticTab[i] = p
+		scoreTab[i] = 2*p - 1
+	}
 }
 
 // Logistic returns the occupancy probability for a fixed-point log-odds
 // value via the shared lookup table: 1/(1+exp(-Dequantize(q))).
-func Logistic(q int16) float64 {
-	initLUT()
-	return logisticTab[int(q)+lutOff]
-}
+func Logistic(q int16) float64 { return logisticTab[int(q)+lutOff] }
 
 // Score returns the scan-matcher cell score 2·Logistic(q)−1: +1 for
 // certainly occupied, −1 for certainly free, exactly 0 for untouched.
-func Score(q int16) float64 {
-	initLUT()
-	return scoreTab[int(q)+lutOff]
-}
+func Score(q int16) float64 { return scoreTab[int(q)+lutOff] }
+
+// The beam update rule in quanta: p_occ = 0.7 and p_free = 0.4 per
+// observation, clamped to [-4, 4] log odds. qOcc and qFree are
+// Quantize(logit(0.7)) and Quantize(logit(0.4)). A cell starts at 0 and
+// moves only by these steps, so it stays in [qMin, qMax], and neither
+// step can leave the int16 range.
+const (
+	qOcc  int16 = 3471
+	qFree int16 = -1661
+	qMin  int16 = -4 * QuantScale
+	qMax  int16 = 4 * QuantScale
+)
 
 // tile is one reference-counted block of fixed-point log-odds values.
 // The refcount is atomic because tiles shared between particles are
@@ -283,35 +288,28 @@ type LogOdds struct {
 	Resolution    float64
 	Origin        geom.Vec2
 
-	// Update increments and clamping bounds, in log-odds units.
-	LOcc, LFree, LMin, LMax float64
-
-	tilesW, tilesH int
-	tiles          []*tile
-	copied         int // cells duplicated by COW since the last TakeCopied
+	tilesW int
+	tiles  []*tile
+	copied int // cells duplicated by COW since the last TakeCopied
 }
 
-// NewLogOdds allocates a log-odds grid with standard update parameters
-// (p_occ = 0.7, p_free = 0.4 per observation, clamped to [-4, 4]).
-// Tiles are allocated eagerly (drawn from the free list when possible) so
-// the steady-state update path never hits the allocator: writes into an
-// exclusively-owned grid are pure stores, and only COW detaches copy.
+// NewLogOdds allocates a log-odds grid that integrates beams with the
+// update rule qOcc/qFree/qMin/qMax above. Tiles are allocated eagerly
+// (drawn from the free list when possible) so the steady-state update
+// path never hits the allocator: writes into an exclusively-owned grid
+// are pure stores, and only COW detaches copy.
 func NewLogOdds(w, h int, res float64, origin geom.Vec2) *LogOdds {
-	initLUT()
 	tw := (w + tileMask) >> tileShift
 	th := (h + tileMask) >> tileShift
 	g := &LogOdds{
 		Width: w, Height: h, Resolution: res, Origin: origin,
-		LOcc: logit(0.7), LFree: logit(0.4), LMin: -4, LMax: 4,
-		tilesW: tw, tilesH: th, tiles: make([]*tile, tw*th),
+		tilesW: tw, tiles: make([]*tile, tw*th),
 	}
 	for i := range g.tiles {
 		g.tiles[i] = newTileZero()
 	}
 	return g
 }
-
-func logit(p float64) float64 { return math.Log(p / (1 - p)) }
 
 // tileIndex splits an in-bounds cell into its tile and inner indices.
 func (g *LogOdds) tileIndex(c geom.Cell) (ti, inner int) {
@@ -486,21 +484,20 @@ func (g *LogOdds) IntegrateBeam(from geom.Vec2, theta, dist float64, hit bool) i
 // through already-exclusive tiles costs no allocation. The traversal is
 // the standard Bresenham walk (same cell sequence as geom.Bresenham),
 // inlined so the per-cell work is an integer accumulate-and-clamp with
-// no callback dispatch.
+// no callback dispatch. The update steps are compile-time quanta, so a
+// beam quantizes nothing.
+//
+// The walk is monotone in x and y, so when both ends are in the grid
+// every cell between them is too, and the walk reaches the end cell
+// after exactly max(|dx|, |dy|) steps: that path runs with no bounds or
+// end-cell test per cell. A beam with an end outside the grid takes the
+// checked walk, which stops at the first cell off the grid.
 func (g *LogOdds) IntegrateBeamTo(from, end geom.Vec2, hit bool) int {
 	a := g.WorldToCell(from)
 	b := g.WorldToCell(end)
-	// Per-beam quantization of the update parameters keeps the exported
-	// float64 fields authoritative (callers may tune them at any time) at
-	// the cost of four rounds per beam — noise next to the walk itself.
-	locc, lfree := int32(Quantize(g.LOcc)), int32(Quantize(g.LFree))
-	lmin, lmax := int32(Quantize(g.LMin)), int32(Quantize(g.LMax))
-	n := 0
-	// Bresenham walks cross tile borders every ≤32 steps; cache the last
-	// writable tile so the common in-tile step is compare-and-store with
-	// no table lookup (and no tile-row multiply).
-	curTx, curTy := -1, -1
-	var cur *tile
+	if !g.InBounds(a) || !g.InBounds(b) {
+		return g.integrateChecked(a, b, hit)
+	}
 	dx, dy := b.X-a.X, b.Y-a.Y
 	sx, sy := 1, 1
 	if dx < 0 {
@@ -509,86 +506,102 @@ func (g *LogOdds) IntegrateBeamTo(from, end geom.Vec2, hit bool) int {
 	if dy < 0 {
 		dy, sy = -dy, -1
 	}
+	steps := max(dx, dy)
+	// Bresenham walks cross tile borders every ≤32 steps; cache the last
+	// writable tile so the common in-tile step is compare-and-store with
+	// no table lookup (and no tile-row multiply). writable runs on the
+	// first write into each tile, in walk order.
+	curTx, curTy := -1, -1
+	var cur *tile
 	errv := dx - dy
-	c := a
-	for {
-		if !g.InBounds(c) {
-			return n
-		}
-		tx, ty := c.X>>tileShift, c.Y>>tileShift
-		inner := (c.Y&tileMask)<<tileShift | c.X&tileMask
-		if c == b {
-			if hit {
-				if tx != curTx || ty != curTy {
-					cur, curTx, curTy = g.writable(ty*g.tilesW+tx), tx, ty
-				}
-				v := int32(cur.l[inner]) + locc
-				if v > lmax {
-					v = lmax
-				} else if v < -quantMax {
-					v = -quantMax
-				}
-				cur.l[inner] = int16(v)
-			}
-			// A max-range miss leaves the endpoint untouched: the beam
-			// only proves freeness up to (not at) max range.
-			n++
-			return n
-		}
-		if tx != curTx || ty != curTy {
+	x, y := a.X, a.Y
+	for range steps {
+		if tx, ty := x>>tileShift, y>>tileShift; tx != curTx || ty != curTy {
 			cur, curTx, curTy = g.writable(ty*g.tilesW+tx), tx, ty
 		}
-		v := int32(cur.l[inner]) + lfree
-		if v < lmin {
-			v = lmin
-		} else if v > quantMax {
-			v = quantMax
-		}
-		cur.l[inner] = int16(v)
-		n++
+		inner := (y&tileMask)<<tileShift | x&tileMask
+		cur.l[inner] = max(cur.l[inner]+qFree, qMin)
+		// The Bresenham step without branches: a mask is -1 when its
+		// axis steps, x when e2 > -dy and y when e2 < dx.
 		e2 := 2 * errv
-		if e2 > -dy {
-			errv -= dy
-			c.X += sx
-		}
-		if e2 < dx {
-			errv += dx
-			c.Y += sy
-		}
+		mx := (-dy - e2) >> 63
+		my := (e2 - dx) >> 63
+		errv += dx&my - dy&mx
+		x += sx & mx
+		y += sy & my
 	}
+	// A max-range miss leaves the endpoint untouched: the beam only
+	// proves freeness up to (not at) max range.
+	if hit {
+		if tx, ty := x>>tileShift, y>>tileShift; tx != curTx || ty != curTy {
+			cur = g.writable(ty*g.tilesW + tx)
+		}
+		inner := (y&tileMask)<<tileShift | x&tileMask
+		cur.l[inner] = min(cur.l[inner]+qOcc, qMax)
+	}
+	return steps + 1
 }
 
-// ToMap thresholds the log-odds grid into a ternary map: prob > occThresh
-// is Occupied, prob < freeThresh is Free, untouched cells are Unknown.
-func (g *LogOdds) ToMap(freeThresh, occThresh float64) *Map {
-	m := NewMap(g.Width, g.Height, g.Resolution, g.Origin, Unknown)
-	for ty := 0; ty < g.tilesH; ty++ {
+// integrateChecked is IntegrateBeamTo's walk for a beam with an end off
+// the grid: the geom.Bresenham walk, which stops at the first cell
+// outside.
+func (g *LogOdds) integrateChecked(a, b geom.Cell, hit bool) int {
+	n := 0
+	curTx, curTy := -1, -1
+	var cur *tile
+	geom.Bresenham(a, b, func(c geom.Cell) bool {
+		if !g.InBounds(c) {
+			return false
+		}
+		n++
+		if c == b && !hit {
+			return false
+		}
+		if tx, ty := c.X>>tileShift, c.Y>>tileShift; tx != curTx || ty != curTy {
+			cur, curTx, curTy = g.writable(ty*g.tilesW+tx), tx, ty
+		}
+		inner := (c.Y&tileMask)<<tileShift | c.X&tileMask
+		if c == b {
+			cur.l[inner] = min(cur.l[inner]+qOcc, qMax)
+			return false
+		}
+		cur.l[inner] = max(cur.l[inner]+qFree, qMin)
+		return true
+	})
+	return n
+}
+
+// ToMap thresholds the log-odds grid into the ternary map m, which must
+// have g's width and height, writing every cell: prob > occThresh is
+// Occupied, prob < freeThresh is Free, untouched cells are Unknown.
+func (g *LogOdds) ToMap(m *Map, freeThresh, occThresh float64) {
+	for y := 0; y < g.Height; y++ {
+		row := m.Cells[y*g.Width:][:g.Width]
+		ty := y >> tileShift
 		for tx := 0; tx < g.tilesW; tx++ {
+			dst := row[tx<<tileShift : min((tx+1)<<tileShift, g.Width)]
 			t := g.tiles[ty*g.tilesW+tx]
 			if t == nil {
+				for i := range dst {
+					dst[i] = Unknown
+				}
 				continue
 			}
-			ymax := min((ty+1)<<tileShift, g.Height)
-			xmax := min((tx+1)<<tileShift, g.Width)
-			for y := ty << tileShift; y < ymax; y++ {
-				for x := tx << tileShift; x < xmax; x++ {
-					q := t.l[(y&tileMask)<<tileShift|x&tileMask]
-					if q == 0 {
-						continue
-					}
-					p := Logistic(q)
-					c := geom.Cell{X: x, Y: y}
-					switch {
+			src := t.l[(y&tileMask)<<tileShift:][:len(dst)]
+			for i, q := range src {
+				v := Unknown
+				if q != 0 {
+					switch p := Logistic(q); {
 					case p > occThresh:
-						m.Set(c, Occupied)
+						v = Occupied
 					case p < freeThresh:
-						m.Set(c, Free)
+						v = Free
 					}
 				}
+				dst[i] = v
 			}
 		}
 	}
-	return m
 }
 
 // ---------------------------------------------------------------------------

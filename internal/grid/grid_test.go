@@ -3,6 +3,7 @@ package grid
 import (
 	"bytes"
 	"math"
+	"math/rand"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -206,12 +207,12 @@ func TestLogOddsClamping(t *testing.T) {
 	}
 	endCell := g.WorldToCell(from.Add(geom.V(1, 0)))
 	l := g.At(endCell)
-	if l > g.LMax+1e-9 {
-		t.Errorf("log odds %v exceeded max %v", l, g.LMax)
+	if l > lMax+1e-9 {
+		t.Errorf("log odds %v exceeded max %v", l, lMax)
 	}
 	midCell := g.WorldToCell(from.Add(geom.V(0.5, 0)))
-	if lm := g.At(midCell); lm < g.LMin-1e-9 {
-		t.Errorf("log odds %v under min %v", lm, g.LMin)
+	if lm := g.At(midCell); lm < lMin-1e-9 {
+		t.Errorf("log odds %v under min %v", lm, lMin)
 	}
 }
 
@@ -375,7 +376,9 @@ func TestLogOddsToMap(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		g.IntegrateBeam(from, 0, 2.0, true)
 	}
-	m := g.ToMap(0.25, 0.65)
+	// Every cell is written, so a stale destination is fully replaced.
+	m := NewMap(g.Width, g.Height, g.Resolution, g.Origin, Occupied)
+	g.ToMap(m, 0.25, 0.65)
 	endCell := m.WorldToCell(from.Add(geom.V(2, 0)))
 	if m.At(endCell) != Occupied {
 		t.Error("endpoint should threshold to Occupied")
@@ -492,3 +495,35 @@ func TestParseTextSpacesAreFree(t *testing.T) {
 		t.Error("space should parse as Free")
 	}
 }
+
+// BenchmarkIntegrateBeam times one beam of a lidar scan integrated into a
+// lab-sized grid (12 m × 6 m at 5 cm): origins spread over the grid,
+// ranges up to the 3.5 m LDS-01 limit, nine in ten beams hits. Every
+// beam ends on the grid, as over 99% of the exploration missions' beams
+// do, so this times the unchecked walk.
+func BenchmarkIntegrateBeam(b *testing.B) {
+	g := NewLogOdds(240, 120, 0.05, geom.V(0, 0))
+	rng := rand.New(rand.NewSource(1))
+	type beam struct {
+		from, end geom.Vec2
+		hit       bool
+	}
+	beams := make([]beam, 4096)
+	for i := range beams {
+		from := geom.V(0.5+11*rng.Float64(), 0.5+5*rng.Float64())
+		end := from.Add(geom.V(0.1+3.4*rng.Float64(), 0).Rotate(2 * math.Pi * rng.Float64()))
+		if !g.InBounds(g.WorldToCell(end)) {
+			i--
+			continue
+		}
+		beams[i] = beam{from, end, rng.Intn(10) > 0}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		bm := &beams[i%len(beams)]
+		beamSink = g.IntegrateBeamTo(bm.from, bm.end, bm.hit)
+	}
+}
+
+var beamSink int

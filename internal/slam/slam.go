@@ -93,6 +93,14 @@ type SLAM struct {
 	started   bool
 	updates   int
 
+	// The best particle's ternary map, rebuilt in place by Map at most
+	// once per update: particle maps and weights change only in update,
+	// so the map built at update count ternAt is exact until the next.
+	// Before any update every cell is untouched, so New fills it with
+	// Unknown at ternAt 0.
+	tern   *grid.Map
+	ternAt int
+
 	// Steady-state machinery: the persistent worker pool, the one
 	// closure handed to it every tick, and scratch reused across calls
 	// so an update allocates nothing beyond COW tile copies.
@@ -129,7 +137,8 @@ func New(cfg Config, rng *rand.Rand) *SLAM {
 	if cfg.BeamSkip < 1 {
 		cfg.BeamSkip = 1
 	}
-	s := &SLAM{cfg: cfg, rng: rng, neff: float64(cfg.NumParticles)}
+	s := &SLAM{cfg: cfg, rng: rng, neff: float64(cfg.NumParticles),
+		tern: grid.NewMap(cfg.MapW, cfg.MapH, cfg.Resolution, cfg.Origin, grid.Unknown)}
 	for i := 0; i < cfg.NumParticles; i++ {
 		s.particles = append(s.particles, &Particle{
 			Map: grid.NewLogOdds(cfg.MapW, cfg.MapH, cfg.Resolution, cfg.Origin),
@@ -558,9 +567,15 @@ func (s *SLAM) MeanPose() geom.Pose {
 }
 
 // Map returns the best particle's map thresholded into a ternary
-// occupancy grid.
+// occupancy grid. The map is a buffer the filter owns and rebuilds at
+// most once per update: it is read-only, and valid until the next
+// Update or UpdateParallel.
 func (s *SLAM) Map() *grid.Map {
-	return s.particles[s.bestIndex()].Map.ToMap(0.25, 0.65)
+	if s.ternAt != s.updates {
+		s.particles[s.bestIndex()].Map.ToMap(s.tern, 0.25, 0.65)
+		s.ternAt = s.updates
+	}
+	return s.tern
 }
 
 // Updates returns the number of filter updates performed.

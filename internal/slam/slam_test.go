@@ -3,6 +3,7 @@ package slam
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"lgvoffload/internal/geom"
@@ -263,6 +264,60 @@ func TestBatchedScoringBitEqualToIndependent(t *testing.T) {
 	for k := range cands {
 		if want := refMatchScore(s, pt.Map, cands[k]); scores[k] != want {
 			t.Errorf("candidate %d: batch score %v != independent %v", k, scores[k], want)
+		}
+	}
+}
+
+// TestMapMemoMatchesBestParticle pins the per-update map memo. A fresh
+// filter's map is all unknown and the map after its first update shows
+// that update. After every later update, serial and parallel, with
+// resampling on, Map equals a fresh threshold of the best particle's
+// grid, and a second call with no update between returns the same
+// contents.
+func TestMapMemoMatchesBestParticle(t *testing.T) {
+	for _, threads := range []int{1, 3} {
+		m := world.EmptyRoomMap(6, 6, 0.05)
+		w := world.New(m, world.Turtlebot3(), geom.P(1.5, 1.5, 0))
+		laser := sensor.NewLaser(90, 3.5, 0.01, rand.New(rand.NewSource(41)))
+		odo := sensor.NewOdometer(rand.New(rand.NewSource(42)))
+		s := New(smallCfg(), rand.New(rand.NewSource(43)))
+		s.SetInitialPose(w.Robot.Pose)
+		if got := s.Map(); got.CountState(grid.Unknown) != len(got.Cells) {
+			t.Fatalf("threads=%d: map before any update is not all unknown", threads)
+		}
+		prevOdom := odo.Update(w.Robot.Pose)
+		w.SetCommand(geom.Twist{V: 0.2, W: 0.4})
+		resampled := 0
+		for i := 0; i < 40; i++ {
+			w.Step(0.1)
+			est := odo.Update(w.Robot.Pose)
+			delta := prevOdom.Delta(est)
+			prevOdom = est
+			scan := laser.Sense(m, w.Robot.Pose, w.Time)
+			var st UpdateStats
+			if threads == 1 {
+				st = s.Update(delta, scan)
+			} else {
+				st = s.UpdateParallel(delta, scan, threads, Interleaved)
+			}
+			if st.Resampled {
+				resampled++
+			}
+			got := s.Map()
+			if i == 0 && got.CountState(grid.Occupied) == 0 {
+				t.Fatalf("threads=%d: map after the first update does not show it", threads)
+			}
+			want := grid.NewMap(got.Width, got.Height, got.Resolution, got.Origin, grid.Unknown)
+			s.particles[s.bestIndex()].Map.ToMap(want, 0.25, 0.65)
+			if !slices.Equal(got.Cells, want.Cells) {
+				t.Fatalf("threads=%d update %d: Map differs from the best particle's grid", threads, i)
+			}
+			if again := s.Map(); !slices.Equal(again.Cells, want.Cells) {
+				t.Fatalf("threads=%d update %d: second Map call changed the contents", threads, i)
+			}
+		}
+		if resampled == 0 {
+			t.Fatalf("threads=%d: no update resampled", threads)
 		}
 	}
 }
