@@ -87,9 +87,12 @@ advhunt:
 		-repros internal/simtest/testdata/repros
 
 # Fuzz smoke over every fuzz target (wire decode, grid parser, beam
-# update and exact beam walk, costmap footprint, msg header): quick
-# enough for CI, long enough to catch shallow regressions against the
-# committed corpora.
+# update and exact beam walk, costmap footprint, msg header, store
+# record decoder against the query oracle): quick enough for CI, long
+# enough to catch shallow regressions against the committed corpora.
+# FuzzStoreRecords writes and opens a store file per input (about a
+# millisecond each), so the default 60 s minimization of each input
+# that finds new coverage would take its whole 10 s; it is capped.
 fuzz-smoke:
 	go test -run '^$$' -fuzz FuzzDecodeFrame -fuzztime 10s ./internal/wire
 	go test -run '^$$' -fuzz FuzzRoundtrip -fuzztime 10s ./internal/wire
@@ -98,6 +101,7 @@ fuzz-smoke:
 	go test -run '^$$' -fuzz FuzzIntegrateBeamExact -fuzztime 10s ./internal/grid
 	go test -run '^$$' -fuzz FuzzFootprintCost -fuzztime 10s ./internal/costmap
 	go test -run '^$$' -fuzz FuzzHeaderDecode -fuzztime 30s ./internal/msg
+	go test -run '^$$' -fuzz FuzzStoreRecords -fuzztime 10s -fuzzminimizetime 1s ./internal/store
 
 # Dashboard smoke: short mission with the mission store and HTTP
 # inspector attached, probed from outside with curl (/missions, /fleet,

@@ -9,6 +9,7 @@ package lgvoffload
 
 import (
 	"math/rand"
+	"path/filepath"
 	"testing"
 
 	"lgvoffload/internal/costmap"
@@ -122,6 +123,57 @@ func TestAllocStoreRecorderDisabled(t *testing.T) {
 	})
 	if allocs > 0 {
 		t.Errorf("disabled recorder allocates %.1f/op, want 0", allocs)
+	}
+}
+
+// TestAllocStoreFleetStatsWarm: once the first fleet read after Open has
+// decoded the stored ticks, FleetStats pools from the store's in-memory
+// VDP column. Its allocations do not grow with the ticks per mission and
+// stay within 20 per call, on a reopened store with a live mission
+// recorded beside the recovered ones.
+func TestAllocStoreFleetStatsWarm(t *testing.T) {
+	record := func(st *store.Store, seed int64, ticks int) {
+		rec, err := st.Begin(store.MissionStart{Seed: seed, Workload: "navigation"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for k := 0; k < ticks; k++ {
+			rec.Tick(store.Tick{T: 0.2 * float64(k), VDP: 0.02 + 0.001*float64((k*7+int(seed))%50)})
+		}
+		if err := rec.Finish(store.MissionEnd{Success: true, TotalTime: 0.2 * float64(ticks)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	allocs := func(ticks int) float64 {
+		path := filepath.Join(t.TempDir(), "fleet.lgvstore")
+		st, err := store.Open(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := int64(0); i < 30; i++ {
+			record(st, i, ticks)
+		}
+		if err := st.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if st, err = store.Open(path); err != nil {
+			t.Fatal(err)
+		}
+		defer st.Close()
+		record(st, 99, ticks)
+		if _, err := st.FleetStats(store.Filter{}); err != nil { // the first read decodes
+			t.Fatal(err)
+		}
+		return testing.AllocsPerRun(20, func() {
+			if _, err := st.FleetStats(store.Filter{}); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	short, long := allocs(50), allocs(200)
+	if short != long || long > 20 {
+		t.Errorf("warm FleetStats allocates %.1f/op at 50 ticks per mission and %.1f/op at 200, want equal and <= 20",
+			short, long)
 	}
 }
 

@@ -21,8 +21,13 @@
 //   - No dependencies. Standard library only, one file on disk, no
 //     server process. The compact in-file index is the MissionEnd
 //     record itself: it carries the mission's summary and the byte
-//     offset of its MissionStart, so listing and fleet aggregation
-//     decode only two small records per mission.
+//     offset of its MissionStart, so listing decodes only two small
+//     records per mission.
+//   - Fleet reads from memory. Fleet aggregation pools tick VDPs from
+//     an in-memory column holding the mission index and VDP of every
+//     tick record in file order. Recorders extend it as they commit;
+//     the ticks recovered on open are decoded once, by the first fleet
+//     read after it.
 package store
 
 import (

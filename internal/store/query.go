@@ -3,7 +3,6 @@ package store
 import (
 	"encoding/json"
 	"fmt"
-	"hash/crc32"
 	"sort"
 	"strings"
 )
@@ -171,9 +170,11 @@ func (s *Store) Ticks(id string) ([]Tick, error) {
 	return md.Ticks, nil
 }
 
-// scanRange replays valid records in [from, to) through fn. Records are
-// re-checksummed on read so a query never trusts bytes the recovery
-// pass has not seen (to is always <= the committed size).
+// scanRange replays the records in [from, to) through fn, in one
+// buffered sequential read (scanRecords). Records are re-checksummed on
+// read so a query never trusts bytes the recovery pass has not seen (to
+// is always <= the committed size); a torn or corrupt record is an
+// error.
 func (s *Store) scanRange(from, to int64, fn func(kind Kind, mission uint64, body []byte) error) error {
 	s.mu.Lock()
 	f := s.f
@@ -184,40 +185,14 @@ func (s *Store) scanRange(from, to int64, fn func(kind Kind, mission uint64, bod
 	if from < headerSize {
 		from = headerSize
 	}
-	frame := make([]byte, frameSize)
-	var payload []byte
-	for off := from; off < to; {
-		if to-off < frameSize {
-			return fmt.Errorf("store: torn frame at offset %d", off)
-		}
-		if _, err := f.ReadAt(frame, off); err != nil {
-			return err
-		}
-		plen := int64(uint32(frame[0]) | uint32(frame[1])<<8 | uint32(frame[2])<<16 | uint32(frame[3])<<24)
-		want := uint32(frame[4]) | uint32(frame[5])<<8 | uint32(frame[6])<<16 | uint32(frame[7])<<24
-		if plen == 0 || plen > maxRecordSize || off+frameSize+plen > to {
-			return fmt.Errorf("store: corrupt record length at offset %d", off)
-		}
-		if int64(cap(payload)) < plen {
-			payload = make([]byte, plen)
-		}
-		payload = payload[:plen]
-		if _, err := f.ReadAt(payload, off+frameSize); err != nil {
-			return err
-		}
-		if crc32.ChecksumIEEE(payload) != want {
-			return fmt.Errorf("store: checksum mismatch at offset %d", off)
-		}
+	_, err := scanRecords(f, from, to, func(_ int64, payload []byte) error {
 		kind, mission, body, err := splitPayload(payload)
 		if err != nil {
 			return err
 		}
-		if err := fn(kind, mission, body); err != nil {
-			return err
-		}
-		off += frameSize + plen
-	}
-	return nil
+		return fn(kind, mission, body)
+	})
+	return err
 }
 
 // Fleet aggregates finished missions matching a filter across the whole
@@ -235,7 +210,8 @@ type Fleet struct {
 	Decisions int `json:"decisions"`
 	// RecordsDropped sums every finished mission's Recorder drop counter:
 	// bulk records (ticks, spans, decisions) the bounded recording queue
-	// discarded under backpressure. Nonzero means the post-mortems under
+	// discarded under backpressure, or that were never written because
+	// their body failed to encode. Nonzero means the post-mortems under
 	// this store have holes in their time series.
 	RecordsDropped uint64 `json:"records_dropped"`
 
@@ -264,14 +240,22 @@ type FlipPoint struct {
 }
 
 // FleetStats aggregates missions matching f. Counts and flip rates come
-// from the index; the pooled VDP quantiles come from one sequential
-// scan of the matching missions' tick records.
+// from the index; the pooled VDP quantiles come from the in-memory VDP
+// column, filtered to the matching finished missions. The pooled sample
+// holds the values a scan of the file would decode, in file order, so
+// the mean's float sum and the quantiles are exactly the scan's. The
+// first call after Open decodes the recovered tick records once.
 func (s *Store) FleetStats(f Filter) (Fleet, error) {
 	all := s.List(Filter{Outcome: f.Outcome, Seed: f.Seed, HasSeed: f.HasSeed,
 		FaultSpec: f.FaultSpec, Workload: f.Workload})
 	var fl Fleet
 	fl.Missions = len(all)
-	want := make(map[uint64]bool, len(all))
+	// want is indexed by mission index. Missions begun after the List
+	// above fall past its end and are not wanted.
+	var want []bool
+	if len(all) > 0 {
+		want = make([]bool, all[len(all)-1].Index+1)
+	}
 	for _, m := range all {
 		switch m.Outcome() {
 		case "unfinished":
@@ -282,7 +266,7 @@ func (s *Store) FleetStats(f Filter) (Fleet, error) {
 		default:
 			fl.Failures++
 		}
-		// Only finished missions feed the pooled VDP scan below: an
+		// Only finished missions feed the pooled VDPs below: an
 		// unfinished (still-writing or crashed) mission's partial ticks
 		// would skew the fleet quantiles with data no summary vouches for.
 		want[m.Index] = true
@@ -307,26 +291,85 @@ func (s *Store) FleetStats(f Filter) (Fleet, error) {
 		fl.MeanFlipRate /= float64(fl.Finished)
 	}
 
+	if err := s.loadRecovered(); err != nil {
+		return Fleet{}, err
+	}
 	s.mu.Lock()
-	size := s.size
+	if s.f == nil {
+		s.mu.Unlock()
+		return Fleet{}, fmt.Errorf("store: closed")
+	}
+	// A scan stops at the first wanted tick that fails to decode.
+	for _, te := range s.colErrs {
+		if te.mission < uint64(len(want)) && want[te.mission] {
+			s.mu.Unlock()
+			return Fleet{}, te.err
+		}
+	}
+	// fl.Ticks sums the stored summaries' counts; a damaged store can
+	// make it negative or huge, so it only sizes the sample.
+	vdps := make([]float64, 0, min(max(fl.Ticks, 0), len(s.colVDP)))
+	for i, m := range s.colMission {
+		if int(m) < len(want) && want[m] {
+			vdps = append(vdps, s.colVDP[i])
+		}
+	}
 	s.mu.Unlock()
-	vdps := make([]float64, 0, fl.Ticks)
-	err := s.scanRange(headerSize, size, func(kind Kind, mission uint64, body []byte) error {
-		if kind != KindTick || !want[mission] {
+	fl.VDPMean, fl.VDPP50, fl.VDPP95, fl.VDPP99 = vdpStats(vdps)
+	return fl, nil
+}
+
+// loadRecovered puts the VDPs of the tick records recovered on open
+// into the column, once. Ticks of missions unfinished at open are
+// skipped: no recorder exists for them, so they never finish and no
+// fleet read wants them. A failed load leaves the column as it was, and
+// the next call retries.
+func (s *Store) loadRecovered() error {
+	s.loadMu.Lock()
+	defer s.loadMu.Unlock()
+	s.mu.Lock()
+	end := s.unloaded
+	if end == 0 {
+		s.mu.Unlock()
+		return nil
+	}
+	finished := make([]bool, len(s.missions)+1)
+	for _, e := range s.missions {
+		finished[e.index] = e.end != nil
+	}
+	s.mu.Unlock()
+
+	var (
+		missions []uint32
+		vdps     []float64
+		errs     []tickErr
+	)
+	err := s.scanRange(headerSize, end, func(kind Kind, mission uint64, body []byte) error {
+		if kind != KindTick || !finished[mission] {
 			return nil
 		}
 		var t Tick
 		if err := json.Unmarshal(body, &t); err != nil {
-			return err
+			// Only a mission's first failure can be the one a scan
+			// stops at; skip the rest of its ticks.
+			errs = append(errs, tickErr{mission, err})
+			finished[mission] = false
+			return nil
 		}
+		missions = append(missions, uint32(mission))
 		vdps = append(vdps, t.VDP)
 		return nil
 	})
 	if err != nil {
-		return Fleet{}, err
+		return err
 	}
-	fl.VDPMean, fl.VDPP50, fl.VDPP95, fl.VDPP99 = vdpStats(vdps)
-	return fl, nil
+	s.mu.Lock()
+	s.colMission = append(missions, s.colMission...)
+	s.colVDP = append(vdps, s.colVDP...)
+	s.colErrs = errs
+	s.unloaded = 0
+	s.mu.Unlock()
+	return nil
 }
 
 // Compact copies every finished mission matching f into a fresh store

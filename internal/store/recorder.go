@@ -125,7 +125,8 @@ func (r *Recorder) replay(md *MissionData) {
 	}
 }
 
-// Dropped returns how many records the bounded queue discarded so far.
+// Dropped returns how many records were lost so far: discarded by the
+// bounded queue, or never written because their body failed to encode.
 func (r *Recorder) Dropped() uint64 {
 	if r == nil {
 		return 0
@@ -135,40 +136,39 @@ func (r *Recorder) Dropped() uint64 {
 
 // flush is the recorder's single writer goroutine: it drains the queue,
 // frames records into one buffer and commits them in batches, keeping
-// the per-record cost (JSON encode + CRC) off the engine goroutine.
+// the per-record cost (JSON encode + CRC) off the engine goroutine. A
+// record counts once its body encodes; one that fails to encode is
+// never written and counts as dropped.
 func (r *Recorder) flush() {
 	defer close(r.done)
 	var framed []byte
 	var batch int64
+	var vdps []float64 // the batch's tick VDPs, in framing order
 	commit := func() {
 		if batch == 0 {
 			return
 		}
-		if _, err := r.s.appendBatch(framed, batch); err != nil && r.flushErr == nil {
+		if _, err := r.s.appendBatch(framed, batch, r.e.index, vdps); err != nil && r.flushErr == nil {
 			r.flushErr = err
 		}
 		framed = framed[:0]
+		vdps = vdps[:0]
 		batch = 0
 	}
 	for it := range r.ch {
 		var (
-			v    any
-			kind = it.kind
+			v     any
+			count *int
 		)
 		switch it.kind {
 		case KindTick:
-			r.ticks++
-			r.vdps = append(r.vdps, it.tick.VDP)
-			v = &it.tick
+			v, count = &it.tick, &r.ticks
 		case KindDecision:
-			r.decisions++
-			v = &it.dec
+			v, count = &it.dec, &r.decisions
 		case KindFault:
-			r.faults++
-			v = &it.fault
+			v, count = &it.fault, &r.faults
 		case KindSpanRow:
-			r.spanRows++
-			v = &it.span
+			v, count = &it.span, &r.spanRows
 		default:
 			continue
 		}
@@ -177,9 +177,15 @@ func (r *Recorder) flush() {
 			if r.flushErr == nil {
 				r.flushErr = err
 			}
+			r.dropped.Add(1)
 			continue
 		}
-		payload := appendPayload(nil, kind, r.e.index, body)
+		*count++
+		if it.kind == KindTick {
+			r.vdps = append(r.vdps, it.tick.VDP)
+			vdps = append(vdps, it.tick.VDP)
+		}
+		payload := appendPayload(nil, it.kind, r.e.index, body)
 		framed = appendFrame(framed, payload)
 		batch++
 		// Commit when the queue is momentarily empty (latency: live

@@ -111,8 +111,9 @@ type MissionEnd struct {
 	CoreSeconds float64 `json:"core_seconds,omitempty"`
 
 	// Recorder bookkeeping, filled by Recorder.Finish (not by the
-	// producer): record counts, per-mission tick-VDP quantiles, and how
-	// many records the bounded queue dropped.
+	// producer): counts of the records written, per-mission tick-VDP
+	// quantiles over the written ticks, and how many records were lost
+	// (dropped by the bounded queue or failed to encode).
 	Ticks     int     `json:"ticks"`
 	Decisions int     `json:"decisions"`
 	Faults    int     `json:"fault_windows"`

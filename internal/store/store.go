@@ -1,8 +1,10 @@
 package store
 
 import (
+	"bufio"
 	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -26,7 +28,32 @@ type Store struct {
 	records   int64
 	truncated int64 // bytes dropped by crash recovery on open
 
+	// The VDP column: the mission index and VDP of every tick record, in
+	// file order, as two parallel append-only slices. FleetStats pools
+	// from it without touching the file. Live ticks join it in
+	// appendBatch, in the critical section that advances size, so
+	// interleaved recorders keep file order. The ticks recovered on open
+	// (below unloaded) are decoded by the first FleetStats and prepended;
+	// they precede every live tick in the file.
+	colMission []uint32
+	colVDP     []float64
+	// colErrs holds each mission's first recovered tick body that failed
+	// to decode, in file order: what a scan wanting the mission returns.
+	colErrs []tickErr
+	// unloaded is the end of the recovered prefix whose ticks are not
+	// yet in the column, or 0 once they are (or there were none).
+	unloaded int64
+	// loadMu serializes loading the recovered prefix; it is taken
+	// before mu, never while holding it.
+	loadMu sync.Mutex
+
 	encBuf []byte // reused append scratch, guarded by mu
+}
+
+// tickErr is a mission's tick record that failed to decode.
+type tickErr struct {
+	mission uint64
+	err     error
 }
 
 // missionEntry is the in-memory index row for one mission.
@@ -85,37 +112,17 @@ func (s *Store) recover() error {
 		return err
 	}
 
-	r := io.NewSectionReader(s.f, 0, flen)
-	off := int64(headerSize)
-	frame := make([]byte, frameSize)
-	var payload []byte
-	for off < flen {
-		if flen-off < frameSize {
-			break // torn frame header
-		}
-		if _, err := r.ReadAt(frame, off); err != nil {
-			return err
-		}
-		plen := int64(binary.LittleEndian.Uint32(frame[0:]))
-		want := binary.LittleEndian.Uint32(frame[4:])
-		if plen == 0 || plen > maxRecordSize || off+frameSize+plen > flen {
-			break // corrupt length or torn payload
-		}
-		if int64(cap(payload)) < plen {
-			payload = make([]byte, plen)
-		}
-		payload = payload[:plen]
-		if _, err := r.ReadAt(payload, off+frameSize); err != nil {
-			return err
-		}
-		if crc32.ChecksumIEEE(payload) != want {
-			break // corrupt payload; everything after is suspect
-		}
+	off, err := scanRecords(s.f, headerSize, flen, func(off int64, payload []byte) error {
 		if err := s.indexRecord(off, payload); err != nil {
-			break // structurally valid frame, unparseable payload
+			// Structurally valid frame, unparseable payload.
+			return &corruptError{err.Error()}
 		}
 		s.records++
-		off += frameSize + plen
+		return nil
+	})
+	var corrupt *corruptError
+	if err != nil && !errors.As(err, &corrupt) {
+		return err
 	}
 	if off < flen {
 		s.truncated = flen - off
@@ -127,7 +134,66 @@ func (s *Store) recover() error {
 		}
 	}
 	s.size = off
+	if off > headerSize {
+		s.unloaded = off
+	}
 	return nil
+}
+
+// scanBufSize caps the sequential reader's buffer. A range smaller than
+// the cap gets a buffer of its own size, so reading one small mission
+// does not allocate the full cap.
+const scanBufSize = 64 << 10
+
+// corruptError reports a torn or corrupt record: where recovery
+// truncates, and what a query over a damaged range returns.
+type corruptError struct{ msg string }
+
+func (e *corruptError) Error() string { return e.msg }
+
+// scanRecords walks the records in [from, to) of f through one buffered
+// sequential reader: it reads each frame and payload, checks the CRC,
+// then calls fn with the record's offset and payload (valid only during
+// the call). It returns the offset just past the last record fn
+// accepted. A torn or corrupt record stops the walk with a
+// *corruptError; an error from fn or from reading f stops it with that
+// error.
+func scanRecords(f io.ReaderAt, from, to int64, fn func(off int64, payload []byte) error) (int64, error) {
+	if from >= to {
+		return from, nil
+	}
+	br := bufio.NewReaderSize(io.NewSectionReader(f, from, to-from), int(min(to-from, scanBufSize)))
+	var frame [frameSize]byte
+	var payload []byte
+	off := from
+	for off < to {
+		if to-off < frameSize {
+			return off, &corruptError{fmt.Sprintf("store: torn frame at offset %d", off)}
+		}
+		if _, err := io.ReadFull(br, frame[:]); err != nil {
+			return off, err
+		}
+		plen := int64(binary.LittleEndian.Uint32(frame[0:]))
+		want := binary.LittleEndian.Uint32(frame[4:])
+		if plen == 0 || plen > maxRecordSize || off+frameSize+plen > to {
+			return off, &corruptError{fmt.Sprintf("store: corrupt record length at offset %d", off)}
+		}
+		if int64(cap(payload)) < plen {
+			payload = make([]byte, plen)
+		}
+		payload = payload[:plen]
+		if _, err := io.ReadFull(br, payload); err != nil {
+			return off, err
+		}
+		if crc32.ChecksumIEEE(payload) != want {
+			return off, &corruptError{fmt.Sprintf("store: checksum mismatch at offset %d", off)}
+		}
+		if err := fn(off, payload); err != nil {
+			return off, err
+		}
+		off += frameSize + plen
+	}
+	return off, nil
 }
 
 // indexRecord folds one valid record into the mission index during
@@ -204,9 +270,11 @@ func (s *Store) appendLocked(kind Kind, mission uint64, body []byte) (int64, err
 	return off, nil
 }
 
-// appendBatch writes pre-framed bytes (built with appendFrame) in one
-// syscall and returns the batch's start offset.
-func (s *Store) appendBatch(framed []byte, records int64) (int64, error) {
+// appendBatch writes pre-framed bytes (built with appendFrame) of one
+// mission in one syscall and returns the batch's start offset. vdps are
+// the VDPs of the batch's tick records in order; they join the VDP
+// column once the write succeeds.
+func (s *Store) appendBatch(framed []byte, records int64, mission uint64, vdps []float64) (int64, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.f == nil {
@@ -218,6 +286,10 @@ func (s *Store) appendBatch(framed []byte, records int64) (int64, error) {
 	}
 	s.size = off + int64(len(framed))
 	s.records += records
+	for _, v := range vdps {
+		s.colMission = append(s.colMission, uint32(mission))
+		s.colVDP = append(s.colVDP, v)
+	}
 	return off, nil
 }
 

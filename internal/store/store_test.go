@@ -1,6 +1,7 @@
 package store
 
 import (
+	"math"
 	"os"
 	"path/filepath"
 	"sync"
@@ -467,6 +468,7 @@ func TestStoreInterleavedWriters(t *testing.T) {
 			t.Errorf("%s: pooled VDP polluted by unfinished ticks: p99=%v mean=%v",
 				stage, fl.VDPP99, fl.VDPMean)
 		}
+		checkOracle(t, st, stage, false)
 	}
 	check(s, "live")
 
@@ -500,5 +502,43 @@ func TestStoreInterleavedWriters(t *testing.T) {
 	}
 	if got := len(cs.List(Filter{})); got != n-1 {
 		t.Errorf("compacted store holds %d missions, want %d", got, n-1)
+	}
+	checkOracle(t, cs, "compacted", false)
+}
+
+// TestRecorderCountsOnlyWrittenRecords: a tick whose body cannot be
+// encoded (NaN has no JSON form) is never written, so it is neither
+// counted nor in the mission's VDP quantiles; it counts as dropped, and
+// the fleet view flags the hole.
+func TestRecorderCountsOnlyWrittenRecords(t *testing.T) {
+	s, err := Open(tmpStore(t))
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	defer s.Close()
+	rec, err := s.Begin(MissionStart{Seed: 1})
+	if err != nil {
+		t.Fatalf("Begin: %v", err)
+	}
+	rec.Tick(Tick{T: 0, VDP: 0.1})
+	rec.Tick(Tick{T: 0.2, VDP: 0.5, Direction: math.NaN()})
+	rec.Tick(Tick{T: 0.4, VDP: 0.1})
+	if err := rec.Finish(MissionEnd{Success: true, TotalTime: 1}); err == nil {
+		t.Fatal("Finish did not report the encode failure")
+	}
+	md, err := s.ReadMission(rec.ID())
+	if err != nil {
+		t.Fatalf("ReadMission: %v", err)
+	}
+	if len(md.Ticks) != 2 || md.End.Ticks != 2 || md.End.Dropped != 1 || md.End.VDPP99 != 0.1 {
+		t.Fatalf("stored %d ticks; summary ticks=%d dropped=%d p99=%v, want 2/2/1/0.1",
+			len(md.Ticks), md.End.Ticks, md.End.Dropped, md.End.VDPP99)
+	}
+	fl, err := s.FleetStats(Filter{})
+	if err != nil {
+		t.Fatalf("FleetStats: %v", err)
+	}
+	if fl.Ticks != 2 || fl.RecordsDropped != 1 || fl.VDPP99 != 0.1 {
+		t.Fatalf("fleet ticks=%d dropped=%d p99=%v, want 2/1/0.1", fl.Ticks, fl.RecordsDropped, fl.VDPP99)
 	}
 }
