@@ -1,5 +1,5 @@
 # Tier-1 gate (ROADMAP.md): everything must pass before a change lands.
-.PHONY: check fmt vet build test chaos bench bench-gate bench-harness reproduce trace-demo hunt advhunt fuzz-smoke dash-smoke serve-smoke
+.PHONY: check fmt vet build test chaos bench bench-gate bench-harness digests reproduce trace-demo hunt advhunt fuzz-smoke dash-smoke serve-smoke
 
 check: fmt vet build test
 
@@ -58,6 +58,18 @@ bench-gate:
 bench-harness:
 	go -C perfbench vet ./...
 	go -C perfbench test ./...
+
+# Reference-digest check: re-record the digest of every perfbench
+# mission (nav-observed, explore, explore/serial, serve-batch and
+# serve-batch/serial: 40 in all) and compare the file byte for byte with
+# the committed perfbench/reference.json. The recorder writes sorted,
+# indented JSON, so cmp is exact. A change that claims identical mission
+# results must pass this. About 50 s on 2 CPUs.
+digests:
+	@tmp=$$(mktemp) && trap 'rm -f "$$tmp"' EXIT && \
+	bash perfbench/run.sh --record "$$tmp" && \
+	cmp "$$tmp" perfbench/reference.json && \
+	echo "digests: every mission matches perfbench/reference.json"
 
 reproduce:
 	go run ./cmd/reproduce -exp all

@@ -151,7 +151,7 @@ func BenchmarkFig11NetworkWalk(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		link := netsim.NewLink(netsim.DefaultEdgeLink(geom.V(0, 0)), rand.New(rand.NewSource(3)))
 		bw := netsim.NewBandwidthMeter()
-		ctl := core.NewNetController(4)
+		ctl := core.NewNetController(core.NetThreshold)
 		for t := 0.2; t < 90; t += 0.2 {
 			x := 0.35 * t
 			if t > 45 {
@@ -315,7 +315,7 @@ func BenchmarkAblationVelocityEnergy(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		for tp := 0.01; tp < 1.0; tp += 0.01 {
-			v := timing.MaxVelocity(tp, 0.8, 0.08)
+			v := timing.MaxVelocity(tp, core.AMax, core.StopDist)
 			_ = spec.TractionPower(v, 0) * (10 / v) // energy for a 10 m leg
 		}
 	}

@@ -43,7 +43,7 @@ func RunAPSel(w io.Writer, quick bool) error {
 			links[i] = netsim.NewLink(cfg, rand.New(rand.NewSource(int64(7+i))))
 			meters[i] = netsim.NewBandwidthMeter()
 		}
-		ctl := core.NewNetController(4)
+		ctl := core.NewNetController(core.NetThreshold)
 		active := 0
 		res := result{}
 		usable, controlled, ticks := 0, 0, 0

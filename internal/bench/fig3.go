@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 
+	"lgvoffload/internal/core"
 	"lgvoffload/internal/energy"
 	"lgvoffload/internal/timing"
 	"lgvoffload/internal/world"
@@ -18,11 +19,7 @@ import (
 func RunFig3(w io.Writer, _ bool) error {
 	spec := world.Turtlebot3()
 	model := energy.Turtlebot3Model()
-	const (
-		legMeters = 10.0 // fixed mission length
-		amax      = 0.8
-		stopDist  = 0.08
-	)
+	const legMeters = 10.0 // fixed mission length
 
 	hr(w, "Fig. 3 — factor relationships of the analytical model (Eq. 1, Eq. 2)")
 	fmt.Fprintf(w, "mission: a %.0f m leg; fixed draws: sensor %.1f W + micro %.1f W + computer idle %.1f W\n\n",
@@ -33,7 +30,7 @@ func RunFig3(w io.Writer, _ bool) error {
 	fmt.Fprintf(w, "%12s %12s %12s    (Eq. 2c: t_p ↑ ⇒ v_max ↓ ⇒ T_m ↑)\n",
 		"t_p (s)", "v_max (m/s)", "T_m (s)")
 	for _, tp := range []float64{0.02, 0.05, 0.1, 0.2, 0.5, 1.0} {
-		v := timing.MaxVelocity(tp, amax, stopDist)
+		v := timing.MaxVelocity(tp, core.AMax, core.StopDist)
 		fmt.Fprintf(w, "%12.2f %12.3f %12.1f\n", tp, v, legMeters/v)
 	}
 

@@ -27,7 +27,7 @@ type fig11Row struct {
 func fig11Walk(quick bool) []fig11Row {
 	link := netsim.NewLink(netsim.DefaultEdgeLink(geom.V(0, 0)), rand.New(rand.NewSource(3)))
 	bw := netsim.NewBandwidthMeter()
-	ctl := core.NewNetController(4)
+	ctl := core.NewNetController(core.NetThreshold)
 
 	duration := 90.0
 	speed := 0.35 // m/s out and back

@@ -52,7 +52,7 @@ func TestNetControllerThresholdEquality(t *testing.T) {
 // expiry tick: HoldActive is `now < holdUntil`, so the veto is active
 // one instant before expiry and gone at exactly holdUntil.
 func TestHoldDownExpiryBoundary(t *testing.T) {
-	s := NewSafetyController(1.2, 15, 20)
+	s := NewSafetyController(1.2, 15)
 	const tripAt = 100.0
 	s.TripFailover(tripAt)
 	if !s.HoldActive(tripAt) {
@@ -73,7 +73,7 @@ func TestHoldDownExpiryBoundary(t *testing.T) {
 // reaching the limit trips exactly once, and the trip clears the
 // counter so the next failover needs a full new run of misses.
 func TestFailoverTripResetsMisses(t *testing.T) {
-	s := NewSafetyController(1.2, 3, 20)
+	s := NewSafetyController(1.2, 3)
 	for i := 0; i < 2; i++ {
 		s.Miss()
 	}

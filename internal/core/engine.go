@@ -127,11 +127,6 @@ type MissionConfig struct {
 	// windows and handoff dips compose on top of the replayed signal.
 	LinkTrace *netsim.LinkTrace
 
-	// HandoffHoldSec freezes Algorithm 2 decisions for this long after a
-	// roaming handoff so the re-association dip and the direction-
-	// estimate reset cannot flap placement (default 2; < 0 disables).
-	HandoffHoldSec float64
-
 	// Platforms overrides the default compute platforms (nil = the
 	// paper's Pi/edge/cloud testbed). Fleet experiments use this to model
 	// a server whose per-robot share of cores shrinks with fleet size.
@@ -143,26 +138,17 @@ type MissionConfig struct {
 	// quantifies how little that buys compared to offloading.
 	LocalFreqGHz float64
 
-	// Pipeline rates and sizes.
-	ControlPeriod  float64 // VDP tick period, s (default 0.2 → 5 Hz)
-	PhysicsDt      float64 // world integration step (default 0.05)
-	ReplanPeriod   float64 // global replanning interval (default 2)
-	TrackerSamples int     // trajectories per tracking tick (default 1000)
-	SlamParticles  int     // SLAM particle count (default 30)
-	LaserBeams     int     // beams per sweep (default 360)
+	// Kernel sizes.
+	TrackerSamples int // trajectories per tracking tick (default 1000)
+	SlamParticles  int // SLAM particle count (default 30)
 
-	// Limits and termination.
-	MaxSimTime    float64 // default 240 s
-	GoalTolerance float64 // default 0.25 m
-	ExploreTarget float64 // fraction of free space to discover (default 0.85)
+	// MaxSimTime is the mission time limit, s (default DefaultMaxSimTime).
+	MaxSimTime float64
 
-	// Safety/velocity model (Eq. 2c inputs).
-	AMax     float64 // deceleration limit for Eq. 2c (default 0.8 m/s²)
-	StopDist float64 // required stopping distance (default 0.08 m)
-	VCeil    float64 // hardware/safety ceiling (default 1.0 m/s)
-
-	// Algorithm 2 threshold (messages/s, default 4 for the 5 Hz probe).
-	NetThreshold float64
+	// VCeil is the hardware/safety velocity ceiling on Eq. 2c's cap, m/s
+	// (default 1.0). Eq. 2c's other inputs are the constants AMax and
+	// StopDist.
+	VCeil float64
 
 	// Faults, when non-nil and non-empty, attaches a deterministic
 	// fault-injection schedule to the wireless link (see internal/faults).
@@ -170,10 +156,10 @@ type MissionConfig struct {
 
 	// Graceful-degradation knobs (see SafetyController). Zero values take
 	// defaults; WatchdogDeadline < 0 disables the watchdog and
-	// FailoverMisses < 0 disables the failover path.
+	// FailoverMisses < 0 disables the failover path. The two hold-downs
+	// are the constants FailoverHoldSec and HandoffFreezeSec.
 	WatchdogDeadline float64 // base command-staleness deadline, s (default max(1.2, 6·ControlPeriod))
 	FailoverMisses   int     // consecutive missed remote ticks before pulling home (default 15)
-	FailoverHoldSec  float64 // post-failover hold-down vetoing remote (default 20)
 
 	// ShedParallelism enables the §VIII-E adaptivity controller: when the
 	// real velocity persistently falls short of the Eq. 2c cap (obstacle
@@ -234,68 +220,80 @@ type MissionConfig struct {
 	SLO *obs.SLOEngine
 }
 
+// Fixed mission parameters. The paper runs every mission on one testbed
+// with these values, so they are constants, not MissionConfig fields.
+// They are typed: 6*ControlPeriod must fold to the bits the run-time
+// float64 product gives (1.2000000000000002), where an untyped 0.2 would
+// fold exactly and land one ulp lower.
+const (
+	// ControlPeriod is the VDP tick period, s (5 Hz). Algorithm 2's probe
+	// heartbeat runs at the same rate.
+	ControlPeriod float64 = 0.2
+	// physicsDt is the world integration step, s.
+	physicsDt float64 = 0.05
+	// replanPeriod is the global replanning interval, s.
+	replanPeriod float64 = 2.0
+	// laserBeams is the number of beams per laser sweep.
+	laserBeams int = 360
+
+	// goalTolerance is how close the robot must come to a navigation goal
+	// or waypoint to reach it, m.
+	goalTolerance float64 = 0.25
+	// exploreTarget is the fraction of free space exploration must
+	// discover.
+	exploreTarget float64 = 0.85
+
+	// AMax is Eq. 2c's deceleration limit a_max, m/s².
+	AMax float64 = 0.8
+	// StopDist is Eq. 2c's required stopping distance d, m.
+	StopDist float64 = 0.08
+
+	// NetThreshold is Algorithm 2's bandwidth threshold, messages/s: 4
+	// for the 5 Hz probe.
+	NetThreshold float64 = 4
+
+	// FailoverHoldSec is the post-failover hold-down, s: remote execution
+	// stays vetoed this long after a failover.
+	FailoverHoldSec float64 = 20
+	// HandoffFreezeSec freezes Algorithm 2 decisions this long after a
+	// roaming handoff, s, so the re-association dip and the direction-
+	// estimate reset cannot flap placement. Longer than the re-association
+	// dip (0.5 s default) plus a few control ticks for the direction
+	// estimate to re-converge, but well under the 3 s failover trip so a
+	// dead post-handoff link still fails over on schedule. It is not
+	// netsim.DefaultHandoffHoldSec, the minimum time between two handoffs.
+	HandoffFreezeSec float64 = 2
+
+	// DefaultMaxSimTime is the mission time limit, s, when
+	// MissionConfig.MaxSimTime is zero.
+	DefaultMaxSimTime float64 = 240
+)
+
 func (c *MissionConfig) fillDefaults() {
-	if c.ControlPeriod == 0 {
-		c.ControlPeriod = 0.2
-	}
-	if c.PhysicsDt == 0 {
-		c.PhysicsDt = 0.05
-	}
-	if c.ReplanPeriod == 0 {
-		c.ReplanPeriod = 2.0
-	}
 	if c.TrackerSamples == 0 {
 		c.TrackerSamples = 1000
 	}
 	if c.SlamParticles == 0 {
 		c.SlamParticles = 30
 	}
-	if c.LaserBeams == 0 {
-		c.LaserBeams = 360
-	}
 	if c.MaxSimTime == 0 {
-		c.MaxSimTime = 240
-	}
-	if c.GoalTolerance == 0 {
-		c.GoalTolerance = 0.25
-	}
-	if c.ExploreTarget == 0 {
-		c.ExploreTarget = 0.85
-	}
-	if c.AMax == 0 {
-		c.AMax = 0.8
-	}
-	if c.StopDist == 0 {
-		c.StopDist = 0.08
+		c.MaxSimTime = DefaultMaxSimTime
 	}
 	if c.VCeil == 0 {
 		c.VCeil = 1.0
-	}
-	if c.NetThreshold == 0 {
-		c.NetThreshold = 4
 	}
 	if c.WatchdogDeadline == 0 {
 		// Below the navigation source's mux timeout (≥ 1.5 s) so the
 		// safety stop preempts a stale command instead of merely
 		// coinciding with its expiry.
-		c.WatchdogDeadline = math.Max(1.2, 6*c.ControlPeriod)
+		c.WatchdogDeadline = math.Max(1.2, 6*ControlPeriod)
 	}
 	if c.FailoverMisses == 0 {
-		// 15 ticks = 3 s at the default 5 Hz: long enough that a periodic
-		// interference burst (a couple of seconds) does not flap
+		// 15 ticks = 3 s at the 5 Hz ControlPeriod: long enough that a
+		// periodic interference burst (a couple of seconds) does not flap
 		// placement, short enough that a real outage fails over before
 		// the mission times out.
 		c.FailoverMisses = 15
-	}
-	if c.FailoverHoldSec == 0 {
-		c.FailoverHoldSec = 20
-	}
-	if c.HandoffHoldSec == 0 {
-		// Longer than the re-association dip (0.5 s default) plus a few
-		// control ticks for the direction estimate to re-converge, but
-		// well under the 3 s failover trip so a dead post-handoff link
-		// still fails over on schedule.
-		c.HandoffHoldSec = 2
 	}
 	if (c.WAP == geom.Vec2{}) {
 		c.WAP = c.Start.Pos
@@ -533,12 +531,12 @@ func newEngine(cfg MissionConfig) (*engine, error) {
 	e := &engine{
 		cfg:       cfg,
 		w:         w,
-		laser:     sensor.NewLaser(cfg.LaserBeams, 3.5, 0.01, rand.New(rand.NewSource(cfg.Seed+2))),
+		laser:     sensor.NewLaser(laserBeams, 3.5, 0.01, rand.New(rand.NewSource(cfg.Seed+2))),
 		odo:       sensor.NewOdometer(rand.New(rand.NewSource(cfg.Seed + 3))),
 		link:      link,
 		platforms: defaultPlatforms(cfg.Platforms),
 		prof:      NewProfiler(),
-		netctl:    NewNetController(cfg.NetThreshold),
+		netctl:    NewNetController(NetThreshold),
 		meter:     energy.NewMeter(meterModelFor(cfg.LocalFreqGHz)),
 		clock:     timing.NewClock(),
 		counter:   hostsim.NewCycleCounter(),
@@ -561,8 +559,7 @@ func newEngine(cfg MissionConfig) (*engine, error) {
 	if missLimit < 0 {
 		missLimit = 0 // sentinel: failover disabled
 	}
-	e.safety = NewSafetyController(cfg.WatchdogDeadline, missLimit, cfg.FailoverHoldSec)
-	e.safety.SetHandoffHold(cfg.HandoffHoldSec)
+	e.safety = NewSafetyController(cfg.WatchdogDeadline, missLimit)
 	if cfg.Faults != nil && !cfg.Faults.Empty() {
 		if err := cfg.Faults.Validate(); err != nil {
 			return nil, err
@@ -577,7 +574,6 @@ func newEngine(cfg MissionConfig) (*engine, error) {
 	e.strategy = Strategy{
 		Goal: cfg.Deployment.Goal, Remote: cfg.Deployment.Remote,
 		Threads: cfg.Deployment.Threads,
-		AMax:    cfg.AMax, StopDist: cfg.StopDist, VCeil: cfg.VCeil,
 	}
 
 	// Costmap over the world geometry.
@@ -627,10 +623,7 @@ func newEngine(cfg MissionConfig) (*engine, error) {
 		e.threadsNow = 1
 	}
 	e.velRatioEMA = 1
-	e.vmax = timing.MaxVelocity(cfg.ControlPeriod, cfg.AMax, cfg.StopDist)
-	if e.vmax > cfg.VCeil {
-		e.vmax = cfg.VCeil
-	}
+	e.vmax = e.velocityCap(ControlPeriod)
 	e.prevOdom = e.odo.Update(w.Robot.Pose)
 	return e, nil
 }
@@ -677,6 +670,16 @@ func (e *engine) offloadSet() []string {
 	return []string{NodeCostmap, NodeTracking}
 }
 
+// velocityCap is Eq. 2c at VDP makespan tp under the mission's velocity
+// ceiling: Algorithm 1's "set velocity_OA(T_c)" step.
+func (e *engine) velocityCap(tp float64) float64 {
+	v := timing.MaxVelocity(tp, AMax, StopDist)
+	if v > e.cfg.VCeil {
+		v = e.cfg.VCeil
+	}
+	return v
+}
+
 func trackerConfigFor(samples int, vceil float64) tracker.Config {
 	tcfg := tracker.DefaultConfig()
 	tcfg.MaxV = vceil
@@ -696,7 +699,7 @@ func muxSources(cfg MissionConfig) []muxer.Source {
 			// local VDP makespan, else a slow on-board pipeline would
 			// stop-and-go between decisions. The tracker's 1.2 s rollout
 			// horizon keeps a 1.5 s-old command safe.
-			srcs[i].Timeout = math.Max(1.5, 3*cfg.ControlPeriod)
+			srcs[i].Timeout = math.Max(1.5, 3*ControlPeriod)
 		}
 	}
 	return srcs
@@ -730,7 +733,7 @@ func (e *engine) deliverPending(now float64) {
 func (e *engine) checkDone() (done bool, reason string, success bool) {
 	switch e.cfg.Workload {
 	case NavigationWithMap:
-		if e.w.Robot.Pose.Pos.Dist(e.route[0]) <= e.cfg.GoalTolerance {
+		if e.w.Robot.Pose.Pos.Dist(e.route[0]) <= goalTolerance {
 			e.visited++ // fallthrough below handles waypoints
 			if len(e.route) == 1 {
 				if e.visited > 1 {
@@ -754,7 +757,7 @@ func (e *engine) checkDone() (done bool, reason string, success bool) {
 				e.progress, e.progressAt = explore.Progress(e.slm.Map(), e.cfg.Map), n
 			}
 			p := e.progress
-			if p >= e.cfg.ExploreTarget {
+			if p >= exploreTarget {
 				return true, fmt.Sprintf("explored %.0f%%", p*100), true
 			}
 			if !e.haveEx && n > 20 {

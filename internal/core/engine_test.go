@@ -7,6 +7,7 @@ import (
 
 	"lgvoffload/internal/energy"
 	"lgvoffload/internal/geom"
+	"lgvoffload/internal/muxer"
 	"lgvoffload/internal/netsim"
 	"lgvoffload/internal/world"
 )
@@ -274,6 +275,37 @@ func TestMissionConfigValidation(t *testing.T) {
 	bad.Start = geom.P(0, 0, 0) // inside the wall
 	if _, err := Run(bad); err == nil {
 		t.Error("colliding start must error")
+	}
+}
+
+// TestDerivedDefaultBits pins the bits of the defaults derived from
+// ControlPeriod. The watchdog default must be the run-time float64
+// max(1.2, 6·0.2), which is 1.2000000000000002; an untyped ControlPeriod
+// would fold 6·0.2 exactly and give 1.2, one ulp lower, and no mission
+// digest notices.
+func TestDerivedDefaultBits(t *testing.T) {
+	var cfg MissionConfig
+	cfg.fillDefaults()
+	p := 0.2
+	want := math.Max(1.2, 6*p)
+	if want != 1.2000000000000002 {
+		t.Fatalf("run-time max(1.2, 6*0.2) = %v, want 1.2000000000000002", want)
+	}
+	if math.Float64bits(cfg.WatchdogDeadline) != math.Float64bits(want) {
+		t.Errorf("WatchdogDeadline default = %v (bits %#x), want %v (bits %#x)",
+			cfg.WatchdogDeadline, math.Float64bits(cfg.WatchdogDeadline), want, math.Float64bits(want))
+	}
+	found := false
+	for _, src := range muxSources(cfg) {
+		if src.Name == muxer.SourceNavigation {
+			found = true
+			if src.Timeout != 1.5 {
+				t.Errorf("navigation mux timeout = %v, want 1.5", src.Timeout)
+			}
+		}
+	}
+	if !found {
+		t.Error("muxSources has no navigation source")
 	}
 }
 

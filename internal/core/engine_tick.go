@@ -14,7 +14,6 @@ import (
 	"lgvoffload/internal/sensor"
 	"lgvoffload/internal/slam"
 	"lgvoffload/internal/spans"
-	"lgvoffload/internal/timing"
 	"lgvoffload/internal/tracker"
 	"lgvoffload/internal/wire"
 )
@@ -124,7 +123,7 @@ func (e *engine) controlTick(now float64) {
 	// --- A dropped uplink starves the remote VDP: no command this tick. ----
 	if vdpRemote && upDropped {
 		e.noteMiss(now)
-		e.nextControl = now + cfg.ControlPeriod
+		e.nextControl = now + ControlPeriod
 		// Zero-makespan root: the tick produced no command, so it has no
 		// critical path; the analyzer skips it.
 		tr.Record(spans.Span{Trace: tickTrace, ID: tickRoot, Name: "tick",
@@ -339,14 +338,10 @@ func (e *engine) controlTick(now float64) {
 
 	// --- Pacing: a busy on-board pipeline delays the next tick; an -------
 	// --- offloaded pipeline keeps the 5 Hz rate (the server pipelines). --
-	e.nextControl = now + math.Max(cfg.ControlPeriod, robotProc)
+	e.nextControl = now + math.Max(ControlPeriod, robotProc)
 
 	// --- Velocity cap from the profiled VDP makespan (Eq. 2c). -------------
-	tp := e.prof.VDP(e.placement).Total()
-	e.vmax = timing.MaxVelocity(tp, cfg.AMax, cfg.StopDist)
-	if e.vmax > cfg.VCeil {
-		e.vmax = cfg.VCeil
-	}
+	e.vmax = e.velocityCap(e.prof.VDP(e.placement).Total())
 	e.vmaxSum += e.vmax
 	e.vmaxCount++
 
@@ -452,7 +447,7 @@ func (e *engine) updateGoalAndPath(now float64, localWork *hostsim.Work) {
 	if now < e.nextReplan && e.havePth && !e.stuckOnGoal(now) {
 		return
 	}
-	e.nextReplan = now + cfg.ReplanPeriod
+	e.nextReplan = now + replanPeriod
 
 	if cfg.Workload == NavigationWithMap {
 		e.planTo(now, e.route[0], localWork)
@@ -621,7 +616,7 @@ func (e *engine) finishTick(now float64, localWork hostsim.Work, pipelineLat flo
 	// Energy for cycles retired on board, capped at the Pi's capacity
 	// over the tick interval.
 	pi := e.platforms[HostLGV]
-	interval := math.Max(e.nextControl-now, e.cfg.ControlPeriod)
+	interval := math.Max(e.nextControl-now, ControlPeriod)
 	budget := pi.Speed() * 1e9 * float64(pi.Cores) * interval
 	e.meter.AddCycles(math.Min(localWork.Total(), budget))
 
@@ -736,7 +731,7 @@ func (e *engine) adapt(now float64) {
 			return
 		}
 		localVDP, cloudVDP = e.estimateVDPs()
-		desired, _ = e.strategy.Decide(classes, localVDP, cloudVDP)
+		desired = e.strategy.Decide(classes, localVDP, cloudVDP)
 		reason = "alg1-" + e.strategy.Goal.String()
 	}
 
@@ -788,7 +783,7 @@ func (e *engine) estimateVDPs() (localVDP, cloudVDP float64) {
 	}
 	rtt, ok := e.prof.RTTOK()
 	if !ok {
-		rtt = e.cfg.ControlPeriod
+		rtt = ControlPeriod
 	}
 	localVDP = pi.ExecTime(cm, 1) + pi.ExecTime(tk, 1) + muxTime
 	cloudVDP = srv.ExecTime(cm, 1) + srv.ExecTime(tk, e.strategy.Threads) +

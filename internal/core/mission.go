@@ -51,7 +51,7 @@ func (m *Mission) Time() float64 { return m.e.w.Time }
 // cancellation). Step and Result remain safe to call after Done.
 func (m *Mission) Done() bool { return m.done }
 
-// Step advances the mission by one physics step (cfg.PhysicsDt of
+// Step advances the mission by one physics step (physicsDt of
 // virtual time) and reports whether the mission has terminated. It is
 // the loop body Run iterates; calling it after termination is a no-op
 // that keeps returning true.
@@ -95,7 +95,7 @@ func (m *Mission) Step() bool {
 	// pipeline's pacing.
 	if now >= m.nextProbe {
 		e.sendProbe(now)
-		m.nextProbe = now + cfg.ControlPeriod
+		m.nextProbe = now + ControlPeriod
 	}
 
 	// Control pipeline tick.
@@ -114,10 +114,10 @@ func (m *Mission) Step() bool {
 	e.w.SetCommand(cmd)
 
 	// Physics step + meters.
-	step := e.w.Step(cfg.PhysicsDt)
-	e.meter.Tick(cfg.PhysicsDt)
-	e.meter.AddMotor(step.MotorPower, cfg.PhysicsDt)
-	e.clock.Tick(cfg.PhysicsDt, math.Abs(e.w.Robot.Vel.V)+0.3*math.Abs(e.w.Robot.Vel.W))
+	step := e.w.Step(physicsDt)
+	e.meter.Tick(physicsDt)
+	e.meter.AddMotor(step.MotorPower, physicsDt)
+	e.clock.Tick(physicsDt, math.Abs(e.w.Robot.Vel.V)+0.3*math.Abs(e.w.Robot.Vel.W))
 	e.link.SetRobotPosAt(e.w.Time, e.w.Robot.Pose.Pos)
 
 	// Termination.

@@ -22,40 +22,32 @@ package core
 //     provides hysteresis so one failover isn't immediately reversed by
 //     a still-optimistic bandwidth estimate.
 type SafetyController struct {
-	deadline  float64 // base watchdog deadline, s (see EffectiveDeadline)
+	deadline  float64 // base watchdog deadline, s (see CheckStall)
 	missLimit int     // consecutive misses that trip a failover
-	hold      float64 // hold-down after a failover, s
 
 	lastCmd   float64 // virtual time of the last delivered command
 	stalled   bool    // inside a watchdog-stop episode
 	misses    int     // consecutive missed remote VDP ticks
-	holdUntil float64 // remote execution vetoed until this time
+	holdUntil float64 // remote execution vetoed until this time (FailoverHoldSec after a failover)
 
-	// Roaming handoff hold-down: for handoffHold seconds after a WAP
+	// Roaming handoff hold-down: for HandoffFreezeSec after a WAP
 	// handoff the adaptation loop freezes entirely — the re-association
 	// dip and the reset direction estimate are transients, not evidence.
 	// The failover path bypasses this (a genuinely dead link must still
-	// pull home), which is safe because the handoff hold is shorter than
-	// the miss-limit trip time.
-	handoffHold  float64
+	// pull home), which is safe because the handoff freeze is shorter
+	// than the miss-limit trip time.
 	handoffUntil float64
 
 	stops     int // watchdog-stop episodes
 	failovers int // miss-limit failovers tripped
 }
 
-// NewSafetyController builds a controller; the engine supplies defaults
-// through MissionConfig.fillDefaults.
-func NewSafetyController(deadline float64, missLimit int, holdSec float64) *SafetyController {
-	return &SafetyController{deadline: deadline, missLimit: missLimit, hold: holdSec}
-}
-
-// SetHandoffHold configures the post-handoff adaptation freeze window.
-func (s *SafetyController) SetHandoffHold(holdSec float64) {
-	if holdSec < 0 {
-		holdSec = 0
-	}
-	s.handoffHold = holdSec
+// NewSafetyController builds a controller with a base watchdog deadline
+// (s) and a consecutive-miss failover limit (0 disables failover); the
+// engine takes both from MissionConfig after fillDefaults. The two
+// hold-downs are the constants FailoverHoldSec and HandoffFreezeSec.
+func NewSafetyController(deadline float64, missLimit int) *SafetyController {
+	return &SafetyController{deadline: deadline, missLimit: missLimit}
 }
 
 // CommandDelivered marks a fresh velocity command reaching the
@@ -118,7 +110,7 @@ func (s *SafetyController) ShouldFailover() bool {
 func (s *SafetyController) TripFailover(now float64) {
 	s.failovers++
 	s.misses = 0
-	s.holdUntil = now + s.hold
+	s.holdUntil = now + FailoverHoldSec
 }
 
 // HoldActive reports whether the post-failover hold-down still vetoes
@@ -127,10 +119,7 @@ func (s *SafetyController) HoldActive(now float64) bool { return now < s.holdUnt
 
 // NoteHandoff opens the post-handoff freeze window at time now.
 func (s *SafetyController) NoteHandoff(now float64) {
-	if s.handoffHold <= 0 {
-		return
-	}
-	if until := now + s.handoffHold; until > s.handoffUntil {
+	if until := now + HandoffFreezeSec; until > s.handoffUntil {
 		s.handoffUntil = until
 	}
 }

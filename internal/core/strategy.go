@@ -5,7 +5,6 @@ import (
 	"sort"
 
 	"lgvoffload/internal/mw"
-	"lgvoffload/internal/timing"
 )
 
 // Goal is the programmer-selected optimization target of Algorithm 1.
@@ -79,16 +78,13 @@ func (p Placement) String() string {
 		p.RemoteNodes(), p.Remote, p.Threads)
 }
 
-// Strategy is Algorithm 1: the offloading decision procedure.
+// Strategy is Algorithm 1's placement rule: which nodes run on the
+// remote server. The velocity it implies is the engine's (Eq. 2c, see
+// Decide).
 type Strategy struct {
 	Goal    Goal
 	Remote  mw.HostID // server to offload to
 	Threads int       // acceleration threads on the server
-
-	// Robot kinematics for the Eq. 2c velocity update.
-	AMax     float64 // maximum acceleration/deceleration, m/s²
-	StopDist float64 // required stopping distance, m
-	VCeil    float64 // hardware/safety velocity ceiling, m/s
 
 	// PinnedLocal lists safety-critical nodes that must never leave the
 	// vehicle regardless of goal — the §IX extension for faster platforms
@@ -97,17 +93,20 @@ type Strategy struct {
 	PinnedLocal []string
 }
 
-// Decide implements Algorithm 1. Given the node classification and the
-// measured VDP times, it returns the placement and the new maximum
-// velocity (Eq. 2c applied to the resulting VDP makespan):
+// Decide implements Algorithm 1's placement. Given the node
+// classification and the measured VDP times, it returns where each node
+// runs:
 //
 //	submit all ECNs to the remote server
 //	if T_c > T_l^v and G == MCT: migrate T3 nodes back to the LGV
 //	set velocity_OA(T_c)
 //
+// The last step is the engine's: on every tick it applies Eq. 2c to the
+// profiled VDP makespan of the placement in force (engine.velocityCap).
+//
 // localVDP is the VDP makespan with everything local; cloudVDP is the
 // makespan with T3 offloaded, including network latency.
-func (s Strategy) Decide(classes []NodeClass, localVDP, cloudVDP float64) (Placement, float64) {
+func (s Strategy) Decide(classes []NodeClass, localVDP, cloudVDP float64) Placement {
 	nodes := make([]string, 0, len(classes))
 	for _, c := range classes {
 		nodes = append(nodes, c.Node)
@@ -125,7 +124,6 @@ func (s Strategy) Decide(classes []NodeClass, localVDP, cloudVDP float64) (Place
 		p.Host[n] = s.Remote
 	}
 
-	effectiveVDP := cloudVDP
 	if s.Goal == GoalMCT {
 		// MCT keeps only T3 offloaded; T1 (SLAM) acceleration does not
 		// shorten the VDP, but it still reduces failure risk, so MCT
@@ -135,37 +133,15 @@ func (s Strategy) Decide(classes []NodeClass, localVDP, cloudVDP float64) (Place
 			for _, n := range T3Nodes(classes) {
 				p.Host[n] = HostLGV
 			}
-			effectiveVDP = localVDP
-		}
-	} else {
-		// EC offloads ECNs unconditionally (energy first); the velocity
-		// still follows whichever VDP the placement produces.
-		if s.vdpRemote(classes, p) {
-			effectiveVDP = cloudVDP
-		} else {
-			effectiveVDP = localVDP
 		}
 	}
-
-	v := timing.MaxVelocity(effectiveVDP, s.AMax, s.StopDist)
-	if s.VCeil > 0 && v > s.VCeil {
-		v = s.VCeil
-	}
-	return p, v
+	// EC offloads ECNs unconditionally (energy first).
+	return p
 }
 
 func (s Strategy) isPinned(node string) bool {
 	for _, n := range s.PinnedLocal {
 		if n == node {
-			return true
-		}
-	}
-	return false
-}
-
-func (s Strategy) vdpRemote(classes []NodeClass, p Placement) bool {
-	for _, c := range classes {
-		if c.Category == T3 && p.Of(c.Node) != HostLGV {
 			return true
 		}
 	}

@@ -8,16 +8,13 @@ import (
 )
 
 func testStrategy(goal Goal) Strategy {
-	return Strategy{
-		Goal: goal, Remote: HostCloud, Threads: 12,
-		AMax: 0.8, StopDist: 0.08, VCeil: 1.0,
-	}
+	return Strategy{Goal: goal, Remote: HostCloud, Threads: 12}
 }
 
 func TestAlgorithm1ECOffloadsAllECNs(t *testing.T) {
 	classes := Classify(tableIIExploreCounter())
 	s := testStrategy(GoalEC)
-	p, _ := s.Decide(classes, 0.5, 0.05)
+	p := s.Decide(classes, 0.5, 0.05)
 	// All ECNs (T1+T3: SLAM, costmap, tracking) go to the cloud.
 	for _, n := range []string{NodeSLAM, NodeCostmap, NodeTracking} {
 		if p.Of(n) != HostCloud {
@@ -37,29 +34,20 @@ func TestAlgorithm1ECKeepsOffloadEvenWithSlowNetwork(t *testing.T) {
 	// remote (the robot just drives slower).
 	classes := Classify(tableIICounter())
 	s := testStrategy(GoalEC)
-	p, v := s.Decide(classes, 0.3, 0.9)
+	p := s.Decide(classes, 0.3, 0.9)
 	if p.Of(NodeTracking) != HostCloud {
 		t.Error("EC pulled tracking home on slow network")
-	}
-	// Velocity must follow the (slow) effective VDP.
-	want := timing.MaxVelocity(0.9, s.AMax, s.StopDist)
-	if math.Abs(v-want) > 1e-9 {
-		t.Errorf("v = %v, want %v", v, want)
 	}
 }
 
 func TestAlgorithm1MCTOffloadsWhenCloudFaster(t *testing.T) {
 	classes := Classify(tableIICounter())
 	s := testStrategy(GoalMCT)
-	p, v := s.Decide(classes, 0.5, 0.05)
+	p := s.Decide(classes, 0.5, 0.05)
 	for _, n := range []string{NodeCostmap, NodeTracking} {
 		if p.Of(n) != HostCloud {
 			t.Errorf("%s should offload when cloud VDP is faster", n)
 		}
-	}
-	want := timing.MaxVelocity(0.05, s.AMax, s.StopDist)
-	if math.Abs(v-want) > 1e-9 {
-		t.Errorf("v = %v, want %v", v, want)
 	}
 }
 
@@ -67,7 +55,7 @@ func TestAlgorithm1MCTMigratesT3HomeWhenNetworkSlow(t *testing.T) {
 	// The core of Algorithm 1: Tc > T_l^v under MCT migrates T3 back.
 	classes := Classify(tableIIExploreCounter())
 	s := testStrategy(GoalMCT)
-	p, v := s.Decide(classes, 0.3, 0.9)
+	p := s.Decide(classes, 0.3, 0.9)
 	for _, n := range []string{NodeCostmap, NodeTracking} {
 		if p.Of(n) != HostLGV {
 			t.Errorf("%s should come home when Tc > Tl", n)
@@ -78,18 +66,29 @@ func TestAlgorithm1MCTMigratesT3HomeWhenNetworkSlow(t *testing.T) {
 	if p.Of(NodeSLAM) != HostCloud {
 		t.Error("SLAM should stay offloaded under MCT")
 	}
-	want := timing.MaxVelocity(0.3, s.AMax, s.StopDist)
-	if math.Abs(v-want) > 1e-9 {
-		t.Errorf("v = %v, want local-VDP velocity %v", v, want)
+}
+
+// capEngine is the least engine velocityCap reads: the default ceiling.
+func capEngine() *engine { return &engine{cfg: MissionConfig{VCeil: 1.0}} }
+
+// TestVelocityCapIsEq2c pins Algorithm 1's last step at the makespans
+// of the placements above: the slow cloud VDP that EC keeps, the fast
+// cloud VDP that MCT offloads to, and the local VDP that MCT brings T3
+// home to.
+func TestVelocityCapIsEq2c(t *testing.T) {
+	e := capEngine()
+	for _, tp := range []float64{0.9, 0.05, 0.3} {
+		want := timing.MaxVelocity(tp, AMax, StopDist)
+		if v := e.velocityCap(tp); math.Abs(v-want) > 1e-9 {
+			t.Errorf("velocityCap(%v) = %v, want %v", tp, v, want)
+		}
 	}
 }
 
 func TestVelocityCeiling(t *testing.T) {
-	classes := Classify(tableIICounter())
-	s := testStrategy(GoalMCT)
-	s.VCeil = 0.1
-	_, v := s.Decide(classes, 0.5, 0.001)
-	if v > 0.1 {
+	e := capEngine()
+	e.cfg.VCeil = 0.1
+	if v := e.velocityCap(0.001); v > 0.1 {
 		t.Errorf("velocity %v exceeds ceiling", v)
 	}
 }
@@ -120,14 +119,13 @@ func TestGoalString(t *testing.T) {
 	}
 }
 
-func TestDecideVelocityMonotoneInVDP(t *testing.T) {
-	classes := Classify(tableIICounter())
-	s := testStrategy(GoalMCT)
+func TestVelocityCapMonotoneInVDP(t *testing.T) {
+	e := capEngine()
 	prev := math.Inf(1)
 	for _, tc := range []float64{0.01, 0.05, 0.1, 0.2} {
-		_, v := s.Decide(classes, 10 /* local always slower */, tc)
+		v := e.velocityCap(tc)
 		if v >= prev {
-			t.Errorf("velocity should fall as cloud VDP grows: v(%v)=%v prev=%v", tc, v, prev)
+			t.Errorf("velocity should fall as the VDP makespan grows: v(%v)=%v prev=%v", tc, v, prev)
 		}
 		prev = v
 	}
@@ -139,7 +137,7 @@ func TestPinnedLocalNodesNeverOffload(t *testing.T) {
 	classes := Classify(tableIIExploreCounter())
 	s := testStrategy(GoalEC)
 	s.PinnedLocal = []string{NodeTracking}
-	p, _ := s.Decide(classes, 0.5, 0.01)
+	p := s.Decide(classes, 0.5, 0.01)
 	if p.Of(NodeTracking) != HostLGV {
 		t.Error("pinned tracking node was offloaded")
 	}

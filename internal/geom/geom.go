@@ -111,9 +111,6 @@ func (p Pose) Delta(o Pose) Pose {
 	return p.Inverse().Compose(o)
 }
 
-// DistTo returns the translational distance between two poses.
-func (p Pose) DistTo(o Pose) float64 { return p.Pos.Dist(o.Pos) }
-
 func (p Pose) String() string {
 	return fmt.Sprintf("[%.3f, %.3f; %.1f°]", p.Pos.X, p.Pos.Y, p.Theta*180/math.Pi)
 }

@@ -1,11 +1,13 @@
 package mw
 
 import (
+	"net"
 	"testing"
 	"time"
 
 	"lgvoffload/internal/msg"
 	"lgvoffload/internal/obs"
+	"lgvoffload/internal/wire"
 )
 
 func twist(seq uint64, v float64) *msg.Twist {
@@ -179,5 +181,67 @@ func TestTraceContextSurvivesUDP(t *testing.T) {
 			t.Fatal("message never arrived")
 		}
 		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestUDPEndpointDecodeError sends an undecodable datagram: it must
+// count once on the endpoint and in the telemetry registry, never reach
+// the receive queue, and leave the endpoint receiving valid frames.
+func TestUDPEndpointDecodeError(t *testing.T) {
+	tel := obs.NewTelemetry(16)
+	bEp, err := ListenUDP("127.0.0.1:0", 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer bEp.Close()
+	bEp.SetSink(tel)
+
+	garbage := []byte{0xff, 0xff, 0xff} // a truncated kind varint
+	if _, err := wire.DecodeFrame(garbage); err == nil {
+		t.Fatal("test datagram decodes; it must not")
+	}
+	raw, err := net.DialUDP("udp", nil, bEp.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer raw.Close()
+	if _, err := raw.Write(garbage); err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(2 * time.Second)
+	for bEp.DecodeErrors() < 1 {
+		if time.Now().After(deadline) {
+			t.Fatal("undecodable datagram was never counted")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if m, ok := bEp.Poll(); ok {
+		t.Fatalf("undecodable datagram was enqueued as %#v", m)
+	}
+
+	a, err := ListenUDP("127.0.0.1:0", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer a.Close()
+	if err := a.SendTo(bEp.Addr(), twist(5, 0.3)); err != nil {
+		t.Fatal(err)
+	}
+	m, _, ok := bEp.PollWaitFrom(2 * time.Second)
+	if !ok {
+		t.Fatal("valid frame after the undecodable one never arrived")
+	}
+	if got, isTwist := m.(*msg.Twist); !isTwist || got.Seq != 5 || got.V != 0.3 {
+		t.Fatalf("got %#v", m)
+	}
+
+	if got := bEp.DecodeErrors(); got != 1 {
+		t.Errorf("DecodeErrors = %d, want 1", got)
+	}
+	if got := tel.Reg.Counter(obs.MDecodeErrors, "udp").Value(); got != 1 {
+		t.Errorf("%s counter = %v, want 1", obs.MDecodeErrors, got)
+	}
+	if got := bEp.Received(); got != 1 {
+		t.Errorf("Received = %d, want 1", got)
 	}
 }

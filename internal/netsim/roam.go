@@ -117,12 +117,3 @@ func (l *Link) Handoffs() int { return len(l.handoffTimes) }
 // HandoffTimes returns the virtual times of every handoff, in order.
 // The returned slice is owned by the link; callers must not mutate it.
 func (l *Link) HandoffTimes() []float64 { return l.handoffTimes }
-
-// LastHandoff returns the time of the most recent handoff and whether
-// one has happened.
-func (l *Link) LastHandoff() (float64, bool) {
-	if len(l.handoffTimes) == 0 {
-		return 0, false
-	}
-	return l.lastHandoff, true
-}

@@ -353,17 +353,6 @@ func (t *Telemetry) SLOBreach(now float64, metric string, value, limit float64, 
 		Node: metric, Value: value, Bandwidth: limit, Detail: detail})
 }
 
-// Reconnect records a worker link re-established after an outage of
-// outageSec wall seconds.
-func (t *Telemetry) Reconnect(now, outageSec float64, peer string) {
-	if t == nil {
-		return
-	}
-	t.Reg.Add(MReconnects, peer, 1)
-	t.Emit(Event{Kind: KindReconnect, T0: now, T1: now,
-		Value: outageSec, Detail: peer})
-}
-
 // Events returns the timeline's events (nil-safe, oldest first).
 func (t *Telemetry) Events() []Event {
 	if t == nil {

@@ -9,8 +9,8 @@ import (
 	"strings"
 )
 
-// Prometheus text-format exporter: renders the registry so the future
-// -serve daemon (ROADMAP item 1) is scrapeable on day one. Counters get
+// Prometheus text-format exporter: renders the registry for scrapers of
+// the inspector's /metrics.prom (lgvsim -http and -serve). Counters get
 // the conventional _total suffix; the fixed-bucket histograms are
 // rendered as summaries (quantile label + _sum/_count) because their
 // p50/p95/p99 estimates are what every consumer of this repo's metrics

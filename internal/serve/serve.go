@@ -182,7 +182,6 @@ type Scheduler struct {
 	idle      *sync.Cond // broadcast when running+starting reaches zero
 	queue     []*mission
 	missions  map[string]*mission
-	order     []string // admission order
 	doneOrder []string // finish order, for result retention
 	running   int
 	starting  int
@@ -295,7 +294,6 @@ func (s *Scheduler) admit(m *mission) (string, error) {
 	s.admitted++
 	s.queue = append(s.queue, m)
 	s.missions[m.id] = m
-	s.order = append(s.order, m.id)
 	s.dispatchLocked()
 	queued, running := len(s.queue), s.running+s.starting
 	s.mu.Unlock()
@@ -676,17 +674,6 @@ func (s *Scheduler) statusLocked(m *mission) Status {
 		st.Summary = m.summary
 	}
 	return st
-}
-
-// Statuses lists every known mission in admission order.
-func (s *Scheduler) Statuses() []Status {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]Status, 0, len(s.order))
-	for _, id := range s.order {
-		out = append(out, s.statusLocked(s.missions[id]))
-	}
-	return out
 }
 
 // Result returns a finished mission's full engine result. ErrNotFinished

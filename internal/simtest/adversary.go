@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 
+	"lgvoffload/internal/core"
 	"lgvoffload/internal/obs"
 )
 
@@ -141,7 +142,7 @@ func FindWorstSchedule(base Scenario, opts AdversaryOpts) (*AdversaryResult, err
 	base.Adversarial = false
 	maxT := base.MaxSimTime
 	if maxT == 0 {
-		maxT = 240
+		maxT = core.DefaultMaxSimTime
 	}
 	// All schedule arithmetic runs in integer deciseconds so budget and
 	// overlap checks are exact and match the rendered spec bit-for-bit.

@@ -8,6 +8,7 @@ import (
 	"math"
 	"sort"
 
+	"lgvoffload/internal/core"
 	"lgvoffload/internal/energy"
 	"lgvoffload/internal/faults"
 	"lgvoffload/internal/spans"
@@ -176,7 +177,7 @@ func checkWatchdog(o *Outcome) error {
 }
 
 func checkNoFlap(o *Outcome) error {
-	hold := o.FailoverHold
+	const hold = core.FailoverHoldSec
 	lastFailover := math.Inf(-1)
 	for _, d := range o.Res.Decisions {
 		if d.Reason == "failover" {
@@ -202,7 +203,7 @@ func checkHandoffNoFlap(o *Outcome) error {
 	if len(ht) == 0 {
 		return ErrSkip
 	}
-	hold := o.HandoffHold
+	const hold = core.HandoffFreezeSec
 	for _, d := range o.Res.Decisions {
 		if d.Reason == "failover" {
 			// The failover path deliberately bypasses the handoff freeze:

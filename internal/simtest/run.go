@@ -35,11 +35,6 @@ type Outcome struct {
 	Spans        []spans.Span
 	SpansDropped uint64
 
-	// FailoverHold is the effective Algorithm 2 hold-down window, s.
-	FailoverHold float64
-	// HandoffHold is the effective post-handoff adaptation freeze, s.
-	HandoffHold float64
-
 	// StalledSamples counts motor commands emitted while the watchdog
 	// held the stream stale (these must all be zero-velocity stops);
 	// CmdViolations lists any that were not.
@@ -81,14 +76,7 @@ func runScenarioOpts(sc Scenario, opts runOpts) (*Outcome, error) {
 	if err != nil {
 		return nil, err
 	}
-	maxT := cfg.MaxSimTime
-	if maxT == 0 {
-		maxT = 240
-	}
-	// ~16 spans per 5 Hz tick, headroom ×2: large enough that the ring
-	// never wraps on the mission lengths the generator emits. The
-	// makespan invariant skips (not fails) if it somehow does.
-	tracer := spans.NewTracer(int(maxT/0.2)*32 + 4096)
+	tracer := missionTracer(cfg)
 	cfg.Tracer = tracer
 	cfg.RecordTrace = true
 	cfg.Store = opts.rec
@@ -117,15 +105,19 @@ func runScenarioOpts(sc Scenario, opts runOpts) (*Outcome, error) {
 	out.Canon = Canonical(res)
 	out.Spans = tracer.Spans()
 	out.SpansDropped = tracer.Dropped()
-	out.FailoverHold = cfg.FailoverHoldSec
-	if out.FailoverHold == 0 {
-		out.FailoverHold = 20 // engine default (fillDefaults)
-	}
-	out.HandoffHold = cfg.HandoffHoldSec
-	if out.HandoffHold == 0 {
-		out.HandoffHold = 2 // engine default (fillDefaults)
-	}
 	return out, nil
+}
+
+// missionTracer sizes a span ring for the whole mission: ~16 spans per
+// control tick, headroom ×2, so the ring never wraps on the mission
+// lengths the generator emits. The makespan invariant skips (not fails)
+// if it somehow does.
+func missionTracer(cfg core.MissionConfig) *spans.Tracer {
+	maxT := cfg.MaxSimTime
+	if maxT == 0 {
+		maxT = core.DefaultMaxSimTime
+	}
+	return spans.NewTracer(int(maxT/core.ControlPeriod)*32 + 4096)
 }
 
 // canonicalResult is the deterministic, order-stable projection of

@@ -7,7 +7,6 @@ import (
 
 	"lgvoffload/internal/core"
 	"lgvoffload/internal/serve"
-	"lgvoffload/internal/spans"
 	"lgvoffload/internal/store"
 )
 
@@ -48,11 +47,7 @@ func schedMission(sc Scenario) (core.MissionConfig, error) {
 	if err != nil {
 		return c, err
 	}
-	maxT := c.MaxSimTime
-	if maxT == 0 {
-		maxT = 240
-	}
-	c.Tracer = spans.NewTracer(int(maxT/0.2)*32 + 4096)
+	c.Tracer = missionTracer(c)
 	c.RecordTrace = true
 	return c, nil
 }
