@@ -82,10 +82,20 @@ type Costmap struct {
 	inflation []kernelRow // inflation kernel, one row span per dy
 
 	// Footprint window: its radius in cells around the center cell, the
-	// squared robot radius and half a cell side.
-	fpCells      int
-	fpR2, fpHalf float64
+	// squared robot radius and half a cell side. fpWin lists the
+	// window's cells, core first, then ring, then the rest; fpCore and
+	// fpRing are its first two runs (see buildFootprint).
+	fpCells               int
+	fpR2, fpHalf          float64
+	fpWin, fpCore, fpRing []fpCell
 }
+
+// fpCell is one footprint window cell: its offset from the center cell
+// and from the center's index in the master grid.
+type fpCell struct{ dx, dy, off int }
+
+// fpMargin is the core/ring margin, in cells.
+const fpMargin = 1e-6
 
 // kernelRow is one row of the inflation kernel: costs[k] is stamped at
 // offset (k-half, dy) from a lethal cell. Kernel costs are never zero,
@@ -108,7 +118,54 @@ func New(cfg Config) *Costmap {
 		fpHalf:   cfg.Resolution / 2,
 	}
 	c.buildKernel()
+	c.buildFootprint()
 	return c
+}
+
+// buildFootprint splits the footprint window by distance. Seen from any
+// point of the center cell, the cell at offset (dx, dy) lies between
+// res·‖(max(|dx|−1, 0), max(|dy|−1, 0))‖ and res·‖(|dx|, |dy|)‖ away.
+// A core cell's far distance is below the robot radius by the margin,
+// so it is always inside the footprint. A ring cell is not core, and
+// its near distance is below the radius plus the margin. Every other
+// cell is always outside.
+//
+// The split holds while rounding moves every coordinate a check computes
+// by far less than the margin. A check on the map computes coordinates
+// below mag in magnitude, each rounding moves one by at most mag·2⁻⁵³,
+// and the few roundings of a check sum to under a fourteenth of the
+// margin when the test below passes. On a map with coordinates too
+// large for that the split is off, and the ring is the whole window.
+// So it is on a one-cell window, whose on-map check a non-finite
+// point's center cell could pass.
+func (c *Costmap) buildFootprint() {
+	res, r := c.cfg.Resolution, c.fpCells
+	radius := math.Abs(c.cfg.RobotRadius) // the check compares squares
+	margin := fpMargin * res
+	w, h := float64(c.cfg.Width)*res, float64(c.cfg.Height)*res
+	mag := max(math.Abs(c.cfg.Origin.X), math.Abs(c.cfg.Origin.Y)) + max(w, h) + res
+	split := r >= 1 && mag*0x1p-46 < margin
+	var core, ring, rest []fpCell
+	for dy := -r; dy <= r; dy++ {
+		for dx := -r; dx <= r; dx++ {
+			cell := fpCell{dx: dx, dy: dy, off: dy*c.cfg.Width + dx}
+			near := math.Hypot(float64(max(dx-1, -dx-1, 0)), float64(max(dy-1, -dy-1, 0))) * res
+			far := math.Hypot(float64(dx), float64(dy)) * res
+			switch {
+			case split && far < radius-margin:
+				core = append(core, cell)
+			case split && near < radius+margin:
+				ring = append(ring, cell)
+			default:
+				rest = append(rest, cell)
+			}
+		}
+	}
+	c.fpWin = append(append(core, ring...), rest...)
+	c.fpCore, c.fpRing = c.fpWin[:len(core)], c.fpWin[len(core):len(core)+len(ring)]
+	if !split {
+		c.fpRing = c.fpWin
+	}
 }
 
 // buildKernel precomputes the inflation cost for every cell offset within
@@ -315,56 +372,50 @@ func (c *Costmap) IsTraversable(cell geom.Cell) bool {
 // count as inside the footprint when any part of their square intersects
 // the disc, so coarse grids cannot hide obstacles between cell centers.
 //
-// A cell's squared distance to the point is a column term plus a row
-// term, each computed once per window line with the expressions of a
-// per-cell check. Along a row the column term only falls and then
-// rises, so the cells inside form one run of columns, and a row has
-// none when even the nearest column is out.
+// Core cells are always inside, so their costs fold in unchecked. A
+// ring cell is tested with the per-cell distance expressions, and only
+// when its cost would raise the worst so far. A point whose window does
+// not lie wholly on the map (off-map and non-finite points among them)
+// tests every window cell that way, reading costs through Cost.
 func (c *Costmap) FootprintCost(p geom.Vec2) uint8 {
 	center := c.WorldToCell(p)
-	r := c.fpCells
-	var buf [32]float64 // windows up to 32 cells wide stay on the stack
-	cols := buf[:]
-	if 2*r+1 > len(cols) {
-		cols = make([]float64, 2*r+1)
-	}
-	cols = cols[:2*r+1]
-	nearest := math.Inf(1)
-	for i := range cols {
-		cx := c.cfg.Origin.X + (float64(center.X+i-r)+0.5)*c.cfg.Resolution
-		d := geom.Clamp(p.X, cx-c.fpHalf, cx+c.fpHalf) - p.X
-		cols[i] = d * d
-		nearest = min(nearest, cols[i])
-	}
-	w, h := c.cfg.Width, c.cfg.Height
-	inside := center.X >= r && center.X < w-r && center.Y >= r && center.Y < h-r
-	worst := FreeCost
-	for dy := -r; dy <= r && worst < LethalCost; dy++ {
-		cy := c.cfg.Origin.Y + (float64(center.Y+dy)+0.5)*c.cfg.Resolution
-		d := geom.Clamp(p.Y, cy-c.fpHalf, cy+c.fpHalf) - p.Y
-		rowSq := d * d
-		if nearest+rowSq > c.fpR2 {
-			continue
-		}
-		lo, hi := 0, len(cols)-1
-		for cols[lo]+rowSq > c.fpR2 {
-			lo++
-		}
-		for cols[hi]+rowSq > c.fpR2 {
-			hi--
-		}
-		if inside {
-			base := (center.Y+dy)*w + center.X - r
-			for _, cost := range c.master[base+lo : base+hi+1] {
-				worst = worse(worst, cost)
+	r, w, h := c.fpCells, c.cfg.Width, c.cfg.Height
+	if !(center.X >= r && center.X < w-r && center.Y >= r && center.Y < h-r) {
+		worst := FreeCost
+		for _, o := range c.fpWin {
+			cost := c.Cost(geom.Cell{X: center.X + o.dx, Y: center.Y + o.dy})
+			if v := worse(worst, cost); v > worst && c.touches(p, center, o) {
+				worst = v
 			}
-			continue
 		}
-		for i := lo; i <= hi; i++ {
-			worst = worse(worst, c.Cost(geom.Cell{X: center.X + i - r, Y: center.Y + dy}))
+		return worst
+	}
+	m, base := c.master, center.Y*w+center.X
+	worst := FreeCost
+	for _, o := range c.fpCore {
+		worst = worse(worst, m[base+o.off])
+	}
+	for _, o := range c.fpRing {
+		// worse never raises the worst above the raw cost.
+		if cost := m[base+o.off]; cost > worst {
+			if v := worse(worst, cost); v > worst && c.touches(p, center, o) {
+				worst = v
+			}
 		}
 	}
 	return worst
+}
+
+// touches reports whether window cell o's square intersects the
+// footprint disc at p, with the expressions of the per-cell check: the
+// square's point closest to p is within the robot radius. A NaN
+// distance counts as inside.
+func (c *Costmap) touches(p geom.Vec2, center geom.Cell, o fpCell) bool {
+	cx := c.cfg.Origin.X + (float64(center.X+o.dx)+0.5)*c.cfg.Resolution
+	cy := c.cfg.Origin.Y + (float64(center.Y+o.dy)+0.5)*c.cfg.Resolution
+	dx := geom.Clamp(p.X, cx-c.fpHalf, cx+c.fpHalf) - p.X
+	dy := geom.Clamp(p.Y, cy-c.fpHalf, cy+c.fpHalf) - p.Y
+	return !(dx*dx+dy*dy > c.fpR2)
 }
 
 // worse folds one footprint cell's cost into the running worst. Unknown

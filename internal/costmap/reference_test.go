@@ -148,25 +148,33 @@ func randomCostmap(rng *rand.Rand, cfg Config) *Costmap {
 }
 
 // footprintShapes are robot-radius/resolution pairs whose footprint
-// windows reach 3 to 51 cells from the center, the last wider than
-// FootprintCost's stack buffer.
+// windows reach 3 to 51 cells from the center. The last radius is a
+// whole number of cells, so cells of the ring touch the disc exactly.
+// New shapes go at the end: the fuzz corpus picks shapes by index.
 var footprintShapes = []struct{ radius, res float64 }{
 	{0.105, 0.05},
 	{0.105, 0.1},
 	{0.2, 0.03},
 	{0.105, 0.013},
 	{0.5, 0.01},
+	{0.1, 0.05},
 }
 
 // randomFootprintMap builds a costmap of the given footprint shape, at
-// least two windows wide, whose master grid holds random costs: mostly
-// free to decayed, some inscribed, lethal and unknown.
+// least two windows wide, with a random master grid.
 func randomFootprintMap(rng *rand.Rand, shape int, origin geom.Vec2) *Costmap {
 	s := footprintShapes[shape%len(footprintShapes)]
 	span := 2*(int(math.Ceil(s.radius/s.res))+1) + 1
 	cfg := DefaultConfig(max(48, 2*span+8), max(40, 2*span+6), s.res, origin)
 	cfg.RobotRadius = s.radius
 	c := New(cfg)
+	randomMaster(rng, c)
+	return c
+}
+
+// randomMaster fills c's master grid with random costs: mostly free to
+// decayed, some inscribed, lethal and unknown.
+func randomMaster(rng *rand.Rand, c *Costmap) {
 	rng.Read(c.master)
 	for i, b := range c.master {
 		switch {
@@ -180,7 +188,6 @@ func randomFootprintMap(rng *rand.Rand, shape int, origin geom.Vec2) *Costmap {
 			c.master[i] = b % InscribedCost
 		}
 	}
-	return c
 }
 
 func TestFootprintCostMatchesReference(t *testing.T) {
@@ -203,6 +210,53 @@ func TestFootprintCostMatchesReference(t *testing.T) {
 				}
 				if got, want := c.FootprintCost(p), refFootprintCost(c, p); got != want {
 					t.Fatalf("shape %d origin %v: FootprintCost(%v) = %d, reference %d", shape, origin, p, got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestFootprintSplitMatchesReference holds FootprintCost to the
+// reference at the edges of the core/ring split: radii of exactly one,
+// two and three cells and radii a few margins off a cell distance,
+// points on and one ulp around cell corners, and origins from 0 to
+// 1e12, so the split is on for the first three maps (the third close to
+// its rounding limit) and off for the last two.
+func TestFootprintSplitMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	origins := []struct {
+		o     geom.Vec2
+		split bool
+	}{
+		{geom.V(0, 0), true},
+		{geom.V(1e3, -1e3), true},
+		{geom.V(-2e6, 3e6), true},
+		{geom.V(1e7, 1e7), false},
+		{geom.V(1e12, -1e12), false},
+	}
+	for _, cells := range []float64{1, 2, 3, 1 + 3*fpMargin, math.Sqrt2 + 3*fpMargin, 2 - 3*fpMargin} {
+		for _, org := range origins {
+			const res = 0.05
+			cfg := DefaultConfig(40, 36, res, org.o)
+			cfg.RobotRadius = cells * res
+			c := New(cfg)
+			if got := len(c.fpCore) > 0; got != org.split {
+				t.Fatalf("radius %v cells, origin %v: split on = %v, want %v", cells, org.o, got, org.split)
+			}
+			randomMaster(rng, c)
+			for i := 0; i < 3000; i++ {
+				x := org.o.X + float64(rng.Intn(cfg.Width+2)-1)*res
+				y := org.o.Y + float64(rng.Intn(cfg.Height+2)-1)*res
+				if i%3 == 1 {
+					x = math.Nextafter(x, math.Inf(rng.Intn(2)*2-1))
+					y = math.Nextafter(y, math.Inf(rng.Intn(2)*2-1))
+				} else if i%3 == 2 {
+					x += rng.Float64() * res
+					y += rng.Float64() * res
+				}
+				p := geom.V(x, y)
+				if got, want := c.FootprintCost(p), refFootprintCost(c, p); got != want {
+					t.Fatalf("radius %v cells, origin %v: FootprintCost(%v) = %d, reference %d", cells, org.o, p, got, want)
 				}
 			}
 		}

@@ -53,6 +53,13 @@ func (v Vec2) Angle() float64 { return math.Atan2(v.Y, v.X) }
 // Rotate returns v rotated by theta radians counterclockwise.
 func (v Vec2) Rotate(theta float64) Vec2 {
 	s, c := math.Sincos(theta)
+	return v.rotateSC(s, c)
+}
+
+// rotateSC returns v rotated by the angle whose sine and cosine are s
+// and c. Rotate and Arc.Move share it, so a rotation computed from a
+// cached sine and cosine has the same bits as one from the angle.
+func (v Vec2) rotateSC(s, c float64) Vec2 {
 	return Vec2{c*v.X - s*v.Y, s*v.X + c*v.Y}
 }
 
@@ -131,6 +138,12 @@ func (t Twist) Integrate(p Pose, dt float64) Pose { return t.Arc(dt).Apply(p) }
 // displacement in the frame of the pose it starts from, and the heading
 // change. It depends only on the twist and the duration, so a rollout
 // computes it once and applies it at every step.
+//
+// A step splits into its heading half (Heading, which reads only the
+// twist's angular velocity) and its position half (Move, which takes the
+// starting heading as its sine and cosine). Rollouts that share an
+// angular velocity share their headings, so a caller can compute each
+// heading's sine and cosine once and Move every rollout with them.
 type Arc struct {
 	d    Vec2    // displacement in the starting pose's frame, m
 	dth  float64 // heading change, rad
@@ -151,11 +164,22 @@ func (t Twist) Arc(dt float64) Arc {
 
 // Apply advances pose p by the step.
 func (a Arc) Apply(p Pose) Pose {
-	pos := p.Pos.Add(a.d.Rotate(p.Theta))
+	s, c := math.Sincos(p.Theta)
+	return Pose{Pos: a.Move(p.Pos, s, c), Theta: a.Heading(p.Theta)}
+}
+
+// Heading returns the heading after the step from heading theta.
+func (a Arc) Heading(theta float64) float64 {
 	if !a.turn {
-		return Pose{Pos: pos, Theta: p.Theta}
+		return theta
 	}
-	return Pose{Pos: pos, Theta: NormalizeAngle(p.Theta + a.dth)}
+	return NormalizeAngle(theta + a.dth)
+}
+
+// Move returns the position after the step from pos, for a starting
+// heading whose sine and cosine are sin and cos.
+func (a Arc) Move(pos Vec2, sin, cos float64) Vec2 {
+	return pos.Add(a.d.rotateSC(sin, cos))
 }
 
 // NormalizeAngle wraps an angle into (-π, π].

@@ -213,13 +213,18 @@ func TestArcChainMatchesIntegrate(t *testing.T) {
 				if got, want := tw.Integrate(start, dt), refIntegrate(tw, start, dt); !same(got, want) {
 					t.Fatalf("%+v dt=%v from %v: Integrate = %v, reference %v", tw, dt, start, got, want)
 				}
-				arc := tw.Arc(dt)
-				ref, chain := start, start
+				// The split chain steps headings on an arc of the same
+				// angular velocity and no linear one, as a rollout sharing
+				// its headings does.
+				arc, turn := tw.Arc(dt), Twist{W: tw.W}.Arc(dt)
+				ref, chain, split := start, start, start
 				for s := 0; s < 12; s++ {
 					ref = refIntegrate(tw, ref, dt)
 					chain = arc.Apply(chain)
-					if !same(chain, ref) {
-						t.Fatalf("%+v dt=%v from %v: step %d = %v, reference %v", tw, dt, start, s, chain, ref)
+					sin, cos := math.Sincos(split.Theta)
+					split = Pose{Pos: arc.Move(split.Pos, sin, cos), Theta: turn.Heading(split.Theta)}
+					if !same(chain, ref) || !same(split, ref) {
+						t.Fatalf("%+v dt=%v from %v: step %d = %v and %v, reference %v", tw, dt, start, s, chain, split, ref)
 					}
 				}
 			}

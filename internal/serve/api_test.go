@@ -34,6 +34,11 @@ func spec(seed int64) []byte {
 	}`, seed))
 }
 
+// withWorld returns spec(1) with its world replaced by the given JSON.
+func withWorld(world string) string {
+	return strings.Replace(string(spec(1)), `{"kind": "empty", "w": 5, "h": 4, "res": 0.1}`, world, 1)
+}
+
 // longSpec returns a mission that stays busy for hundreds of virtual
 // seconds (a waypoint zig-zag across the room), so tests can reliably
 // observe and cancel a running mission.
@@ -187,7 +192,8 @@ func TestAPILifecycle(t *testing.T) {
 }
 
 // TestAPIBadSpec covers the 400 contract: non-JSON, unknown fields,
-// semantically invalid scenarios, and bad query params never enqueue.
+// semantically invalid scenarios (worlds that cannot be built among
+// them), and bad query params never enqueue.
 func TestAPIBadSpec(t *testing.T) {
 	_, ts := newTestServer(t, serve.Config{})
 	cases := []struct {
@@ -200,6 +206,11 @@ func TestAPIBadSpec(t *testing.T) {
 		{"bad-workload", "/missions", `{"mission_seed":1,"workload":"teleportation","world":{"kind":"empty","w":4,"h":4},"deploy":{"mode":"local","threads":1},"fleet":1,"link":{"profile":"good","wapx":1,"wapy":1},"max_sim_time":5}`},
 		{"trailing-data", "/missions", `{"mission_seed":1,"workload":"navigation","world":{"kind":"empty","w":4,"h":4,"res":0.1},"start_x":1,"start_y":1,"goal_x":2,"goal_y":2,"deploy":{"mode":"local","threads":1},"fleet":1,"link":{"profile":"good","wapx":1,"wapy":1},"max_sim_time":5} {"second":true}`},
 		{"bad-deadline", "/missions?deadline_ms=banana", string(spec(1))},
+		{"negative-world", "/missions", withWorld(`{"kind":"empty","w":-5,"h":5}`)},
+		{"sizeless-world", "/missions", withWorld(`{"kind":"clutter"}`)},
+		{"negative-res", "/missions", withWorld(`{"kind":"empty","w":5,"h":4,"res":-0.05}`)},
+		{"oversized-world", "/missions", withWorld(`{"kind":"empty","w":2000,"h":2000,"res":0.01}`)},
+		{"too-much-clutter", "/missions", withWorld(`{"kind":"clutter","w":5,"h":4,"obstacles":100000}`)},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

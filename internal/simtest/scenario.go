@@ -10,6 +10,7 @@ package simtest
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 
 	"lgvoffload/internal/core"
@@ -39,24 +40,47 @@ type WorldSpec struct {
 	Seed      int64 `json:"seed,omitempty"`
 }
 
-// Build constructs the ground-truth map for the spec.
+// Limits on generated worlds. Generate samples at most 24,000 cells and
+// 8 obstacles, and the lab and course maps hold 28,800 and 36,000
+// cells; the limits sit far above all of them and keep a spec from
+// sizing a map no mission could allocate.
+const (
+	maxWorldCells     = 1 << 20
+	maxWorldObstacles = 1 << 10
+)
+
+// Build constructs the ground-truth map for the spec. A generated world
+// needs a finite, positive size and resolution, at least one cell per
+// axis, at most maxWorldCells cells and, for clutter, between 0 and
+// maxWorldObstacles obstacles.
 func (w WorldSpec) Build() (*grid.Map, error) {
-	res := w.Res
-	if res == 0 {
-		res = 0.05
-	}
 	switch w.Kind {
 	case "lab":
 		return world.LabMap(), nil
 	case "course":
 		return world.ObstacleCourseMap(), nil
-	case "empty":
-		return world.EmptyRoomMap(w.W, w.H, res), nil
-	case "clutter":
-		rng := rand.New(rand.NewSource(w.Seed))
-		return world.RandomClutterMap(w.W, w.H, res, w.Obstacles, rng), nil
+	case "empty", "clutter":
+	default:
+		return nil, fmt.Errorf("simtest: unknown world kind %q", w.Kind)
 	}
-	return nil, fmt.Errorf("simtest: unknown world kind %q", w.Kind)
+	res := w.Res
+	if res == 0 {
+		res = 0.05
+	}
+	if !(w.W > 0 && w.H > 0 && res > 0) || math.IsInf(w.W, 0) || math.IsInf(w.H, 0) || math.IsInf(res, 0) {
+		return nil, fmt.Errorf("simtest: world %gx%g m at %g m needs finite, positive sizes", w.W, w.H, res)
+	}
+	if cols, rows := w.W/res, w.H/res; !(cols >= 1 && rows >= 1 && cols*rows <= maxWorldCells) {
+		return nil, fmt.Errorf("simtest: world %gx%g m at %g m is %gx%g cells; want at least 1 per axis and at most %d in all", w.W, w.H, res, cols, rows, maxWorldCells)
+	}
+	if w.Kind == "empty" {
+		return world.EmptyRoomMap(w.W, w.H, res), nil
+	}
+	if w.Obstacles < 0 || w.Obstacles > maxWorldObstacles {
+		return nil, fmt.Errorf("simtest: %d clutter obstacles, want 0 to %d", w.Obstacles, maxWorldObstacles)
+	}
+	rng := rand.New(rand.NewSource(w.Seed))
+	return world.RandomClutterMap(w.W, w.H, res, w.Obstacles, rng), nil
 }
 
 // DeploySpec is the JSON-stable form of core.Deployment.

@@ -82,18 +82,25 @@ var ErrAllBlocked = errors.New("tracker: all trajectories infeasible")
 
 // Tracker holds the configuration plus the persistent-pool plumbing
 // that lets the steady-state planning loop run allocation-free: one
-// pre-built worker closure, reusable per-worker result slots, and the
-// current invocation's parameters staged in a struct field. plan guards
-// that staging area with a mutex, so a Tracker is safe to call from
-// multiple goroutines (invocations serialize).
+// pre-built worker closure, reusable per-worker result slots, the
+// heading table, and the current invocation's parameters staged in a
+// struct field. plan guards that staging area with a mutex, so a
+// Tracker is safe to call from multiple goroutines (invocations
+// serialize).
 type Tracker struct {
-	cfg Config
+	cfg   Config
+	steps int // rollout steps per trajectory
 
 	mu      sync.Mutex
 	pl      *pool.Pool
 	runFn   func(w int)
 	results []workerResult
-	cur     struct {
+	// headings[wi*steps+s] is the sine and cosine of the heading that
+	// step s of every rollout with W sample wi starts from. A rollout's
+	// headings depend only on its angular velocity, so plan fills the
+	// table once per invocation and the workers only read it.
+	headings []sinCos
+	cur      struct {
 		in         Input
 		carrot     geom.Vec2
 		m, threads int
@@ -101,12 +108,15 @@ type Tracker struct {
 	}
 }
 
+type sinCos struct{ sin, cos float64 }
+
 // New returns a tracker.
 func New(cfg Config) *Tracker {
 	if cfg.VSamples < 1 || cfg.WSamples < 1 {
 		panic(fmt.Sprintf("tracker: bad sample counts %dx%d", cfg.VSamples, cfg.WSamples))
 	}
-	t := &Tracker{cfg: cfg, pl: pool.Shared()}
+	steps := max(int(cfg.SimTime/cfg.SimDt), 0)
+	t := &Tracker{cfg: cfg, steps: steps, pl: pool.Shared(), headings: make([]sinCos, cfg.WSamples*steps)}
 	t.runFn = func(w int) { t.results[w] = t.scoreSpan(w) }
 	return t
 }
@@ -124,20 +134,38 @@ func (t *Tracker) candidate(i int, cur geom.Twist, maxV float64) geom.Twist {
 	if vHi < vLo {
 		vHi = vLo
 	}
-	wLo := math.Max(-c.MaxW, cur.W-c.AccW*c.Period)
-	wHi := math.Min(c.MaxW, cur.W+c.AccW*c.Period)
-	var v, w float64
-	if c.VSamples == 1 {
-		v = vLo
-	} else {
+	v := vLo
+	if c.VSamples > 1 {
 		v = vLo + (vHi-vLo)*float64(vi)/float64(c.VSamples-1)
 	}
+	return geom.Twist{V: v, W: t.angular(wi, cur.W)}
+}
+
+// angular returns W sample wi's angular velocity inside the dynamic
+// window around the current angular velocity curW.
+func (t *Tracker) angular(wi int, curW float64) float64 {
+	c := t.cfg
+	wLo := math.Max(-c.MaxW, curW-c.AccW*c.Period)
 	if c.WSamples == 1 {
-		w = wLo
-	} else {
-		w = wLo + (wHi-wLo)*float64(wi)/float64(c.WSamples-1)
+		return wLo
 	}
-	return geom.Twist{V: v, W: w}
+	wHi := math.Min(c.MaxW, curW+c.AccW*c.Period)
+	return wLo + (wHi-wLo)*float64(wi)/float64(c.WSamples-1)
+}
+
+// fillHeadings computes the heading table for rollouts starting at
+// heading theta with current angular velocity curW: each W sample's
+// headings follow its arc from theta, one Sincos per step.
+func (t *Tracker) fillHeadings(theta, curW float64) {
+	for wi := 0; wi < t.cfg.WSamples; wi++ {
+		arc := geom.Twist{W: t.angular(wi, curW)}.Arc(t.cfg.SimDt)
+		th := theta
+		row := t.headings[wi*t.steps:][:t.steps]
+		for s := range row {
+			row[s].sin, row[s].cos = math.Sincos(th)
+			th = arc.Heading(th)
+		}
+	}
 }
 
 // carrot returns the local goal: the path point CarrotDist beyond the
@@ -175,6 +203,9 @@ func (t *Tracker) carrot(pose geom.Pose, path []geom.Vec2) geom.Vec2 {
 
 // scoreOne simulates and scores candidate i. It returns the cost
 // (+Inf if infeasible) and the number of simulation steps executed.
+// Each step moves the position along the candidate's arc from the
+// heading table's sine and cosine, which is Arc.Apply without its
+// Sincos.
 func (t *Tracker) scoreOne(i int, in Input, carrot geom.Vec2) (cost float64, steps int) {
 	c := t.cfg
 	maxV := c.MaxV
@@ -183,13 +214,13 @@ func (t *Tracker) scoreOne(i int, in Input, carrot geom.Vec2) (cost float64, ste
 	}
 	tw := t.candidate(i, in.Vel, maxV)
 	arc := tw.Arc(c.SimDt)
-	pose := in.Pose
+	pos := in.Pose.Pos
 	worstCell := uint8(0)
-	n := int(c.SimTime / c.SimDt)
-	for s := 0; s < n; s++ {
-		pose = arc.Apply(pose)
+	wi := i % c.WSamples
+	for _, h := range t.headings[wi*t.steps:][:t.steps] {
+		pos = arc.Move(pos, h.sin, h.cos)
 		steps++
-		fc := in.Costmap.FootprintCost(pose.Pos)
+		fc := in.Costmap.FootprintCost(pos)
 		if fc >= costmap.InscribedCost {
 			return math.Inf(1), steps // collision or inside inscribed zone
 		}
@@ -197,8 +228,8 @@ func (t *Tracker) scoreOne(i int, in Input, carrot geom.Vec2) (cost float64, ste
 			worstCell = fc
 		}
 	}
-	goalDist := pose.Pos.Dist(carrot)
-	pathDist := distToPath(pose.Pos, in.Path)
+	goalDist := pos.Dist(carrot)
+	pathDist := distToPath(pos, in.Path)
 	return c.GoalWeight*goalDist +
 		c.PathWeight*pathDist +
 		c.ObstacleWeight*float64(worstCell) -
@@ -273,6 +304,7 @@ func (t *Tracker) plan(in Input, threads int, part Partition) (Output, error) {
 	t.results = t.results[:threads]
 	t.cur.in, t.cur.carrot = in, t.carrot(in.Pose, in.Path)
 	t.cur.m, t.cur.threads, t.cur.part = m, threads, part
+	t.fillHeadings(in.Pose.Theta, in.Vel.W)
 	t.pl.Run(threads, t.runFn)
 	t.cur.in = Input{} // drop references to the caller's path/costmap
 

@@ -1,12 +1,15 @@
 package tracker
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
 	"testing"
 
 	"lgvoffload/internal/costmap"
 	"lgvoffload/internal/geom"
 	"lgvoffload/internal/grid"
+	"lgvoffload/internal/sensor"
 	"lgvoffload/internal/world"
 )
 
@@ -71,6 +74,135 @@ func TestParallelMatchesSerial(t *testing.T) {
 			}
 		}
 	}
+}
+
+// refCandidate and refPlan are the planner as it was before the heading
+// table: a serial loop over every candidate whose rollout calls
+// Arc.Apply, with its Sincos, at every step. Kept as the reference Plan
+// and PlanParallel must match in every Output field.
+func refCandidate(c Config, i int, cur geom.Twist, maxV float64) geom.Twist {
+	vi, wi := i/c.WSamples, i%c.WSamples
+	vLo := math.Max(c.MinV, cur.V-c.AccV*c.Period)
+	vHi := math.Min(maxV, cur.V+c.AccV*c.Period)
+	if vHi < vLo {
+		vHi = vLo
+	}
+	wLo := math.Max(-c.MaxW, cur.W-c.AccW*c.Period)
+	wHi := math.Min(c.MaxW, cur.W+c.AccW*c.Period)
+	var v, w float64
+	if c.VSamples == 1 {
+		v = vLo
+	} else {
+		v = vLo + (vHi-vLo)*float64(vi)/float64(c.VSamples-1)
+	}
+	if c.WSamples == 1 {
+		w = wLo
+	} else {
+		w = wLo + (wHi-wLo)*float64(wi)/float64(c.WSamples-1)
+	}
+	return geom.Twist{V: v, W: w}
+}
+
+func refPlan(c Config, in Input, carrot geom.Vec2) (Output, error) {
+	maxV := c.MaxV
+	if in.MaxVCap > 0 && in.MaxVCap < maxV {
+		maxV = in.MaxVCap
+	}
+	out, best := Output{Score: math.Inf(1)}, -1
+	for i := 0; i < c.NumTrajectories(); i++ {
+		tw := refCandidate(c, i, in.Vel, maxV)
+		arc := tw.Arc(c.SimDt)
+		pose, worstCell, blocked := in.Pose, uint8(0), false
+		n := int(c.SimTime / c.SimDt)
+		for s := 0; s < n && !blocked; s++ {
+			pose = arc.Apply(pose)
+			out.Ops++
+			fc := in.Costmap.FootprintCost(pose.Pos)
+			blocked = fc >= costmap.InscribedCost
+			worstCell = max(worstCell, fc)
+		}
+		out.Evaluated++
+		cost := math.Inf(1)
+		if !blocked {
+			cost = c.GoalWeight*pose.Pos.Dist(carrot) +
+				c.PathWeight*distToPath(pose.Pos, in.Path) +
+				c.ObstacleWeight*float64(worstCell) -
+				c.SpeedWeight*tw.V
+		}
+		if math.IsInf(cost, 1) {
+			out.Discarded++
+			continue
+		}
+		if cost < out.Score {
+			out.Score, best = cost, i
+		}
+	}
+	if best < 0 {
+		return out, ErrAllBlocked
+	}
+	out.Cmd = refCandidate(c, best, in.Vel, maxV)
+	return out, nil
+}
+
+// labCostmap is the Fig. 13 lab map's costmap after one update from a
+// random 90-beam scan, so its obstacle layer holds random lethal cells.
+func labCostmap(seed int64) *costmap.Costmap {
+	m := world.LabMap()
+	cm := costmap.New(costmap.DefaultConfig(m.Width, m.Height, m.Resolution, m.Origin))
+	cm.SetStatic(m)
+	rng := rand.New(rand.NewSource(seed))
+	scan := &sensor.Scan{AngleMin: -math.Pi, AngleInc: 2 * math.Pi / 90, MaxRange: 3.5, Ranges: make([]float64, 90)}
+	for i := range scan.Ranges {
+		scan.Ranges[i] = 0.2 + rng.Float64()*3.5 // past MaxRange is a miss
+	}
+	cm.Update(geom.P(1+rng.Float64()*10, 1+rng.Float64()*4, 0), scan)
+	return cm
+}
+
+// FuzzPlanMatchesReference holds Plan and PlanParallel, at 2, 3 and 8
+// threads under both partitions, to the per-step reference: the same
+// command, score bits, error and work counts, from arbitrary poses
+// (unnormalized and non-finite headings included), velocities, speed
+// caps and sample counts.
+func FuzzPlanMatchesReference(f *testing.F) {
+	f.Add(int64(1), 0.6, 0.6, 0.3, 0.15, 0.2, 0.0, uint8(24), uint8(39))    // the engine's 25 × 40
+	f.Add(int64(2), 2.0, 1.5, -2.5, 0.8, -1.0, 0.1, uint8(9), uint8(19))    // cap below the current speed: vHi < vLo
+	f.Add(int64(3), 6.0, 3.0, 1.0, 0.1, 0.0, 0.0, uint8(7), uint8(20))      // 21 W samples, the middle one exactly 0
+	f.Add(int64(4), 2.0, 1.5, 7.0, 0.1, 0.5, 0.0, uint8(0), uint8(0))       // one sample
+	f.Add(int64(5), 9.5, 4.2, 3.1, 0.2, 1.5, 0.05, uint8(0), uint8(6))      // every rollout blocked
+	f.Add(int64(6), 2.72, 1.08, 0.7, 0.18, -0.3, 0.0, uint8(12), uint8(16)) // beside a wall: some blocked
+	f.Add(int64(7), 6.0, 3.0, 1000.3, 0.12, 0.4, 0.0, uint8(9), uint8(15))  // a heading far outside (-π, π]
+	path := []geom.Vec2{geom.V(0.6, 0.6), geom.V(2.0, 2.9), geom.V(4.0, 2.9), geom.V(11, 5)}
+	f.Fuzz(func(t *testing.T, seed int64, x, y, theta, v, w, vcap float64, vs, ws uint8) {
+		cfg := DefaultConfig()
+		cfg.VSamples, cfg.WSamples = 1+int(vs)%32, 1+int(ws)%48
+		tr := New(cfg)
+		in := Input{
+			Pose:    geom.Pose{Pos: geom.V(x, y), Theta: theta},
+			Vel:     geom.Twist{V: v, W: w},
+			Path:    path,
+			Costmap: labCostmap(seed),
+			MaxVCap: vcap,
+		}
+		want, wantErr := refPlan(cfg, in, tr.carrot(in.Pose, in.Path))
+		check := func(name string, got Output, err error) {
+			t.Helper()
+			bits := math.Float64bits
+			if err != wantErr || bits(got.Cmd.V) != bits(want.Cmd.V) || bits(got.Cmd.W) != bits(want.Cmd.W) ||
+				bits(got.Score) != bits(want.Score) || got.Evaluated != want.Evaluated ||
+				got.Discarded != want.Discarded || got.Ops != want.Ops {
+				t.Fatalf("%s = %+v, %v; reference %+v, %v", name, got, err, want, wantErr)
+			}
+		}
+		got, err := tr.Plan(in)
+		check("Plan", got, err)
+		for _, threads := range []int{2, 3, 8} {
+			for _, part := range []Partition{Block, Interleaved} {
+				got, err := tr.PlanParallel(in, threads, part)
+				check(fmt.Sprintf("PlanParallel(%d, %v)", threads, part), got, err)
+			}
+		}
+	})
 }
 
 func TestObstacleAvoidance(t *testing.T) {
