@@ -16,6 +16,7 @@ import (
 	"lgvoffload/internal/geom"
 	"lgvoffload/internal/msg"
 	"lgvoffload/internal/obs"
+	"lgvoffload/internal/sensor"
 	"lgvoffload/internal/slam"
 	"lgvoffload/internal/spans"
 	"lgvoffload/internal/store"
@@ -276,5 +277,20 @@ func TestAllocSLAMMapSteadyState(t *testing.T) {
 	})
 	if allocs > 2 {
 		t.Errorf("UpdateParallel + Map steady state allocates %.1f/op, want <= 2", allocs)
+	}
+}
+
+// TestAllocCostmapUpdateSteadyState: after a warm-up Update on the lab
+// map, a full update (clearing, marking, recombining and re-inflating)
+// allocates nothing: rebuild reuses its source list.
+func TestAllocCostmapUpdateSteadyState(t *testing.T) {
+	m := world.LabMap()
+	cm := costmap.New(costmap.DefaultConfig(m.Width, m.Height, m.Resolution, m.Origin))
+	cm.SetStatic(m)
+	pose := geom.P(1, 1, 0)
+	scan := sensor.NewLDS01(0.01, rand.New(rand.NewSource(1))).Sense(m, pose, 0)
+	cm.Update(pose, scan) // grow the source list once
+	if allocs := testing.AllocsPerRun(20, func() { cm.Update(pose, scan) }); allocs != 0 {
+		t.Errorf("Update steady state allocates %.1f/op, want 0", allocs)
 	}
 }

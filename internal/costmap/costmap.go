@@ -11,6 +11,7 @@
 package costmap
 
 import (
+	"bytes"
 	"math"
 
 	"lgvoffload/internal/geom"
@@ -81,6 +82,14 @@ type Costmap struct {
 
 	inflation []kernelRow // inflation kernel, one row span per dy
 
+	// Neighbour dominance (see rebuild): leftRule and upRule say whether
+	// the kernel allows a source to skip the stamps its lethal left or
+	// previous-row neighbour covers; upFrom indexes the first kernel row
+	// with dy >= 0. sources is rebuild's source list, reused.
+	leftRule, upRule bool
+	upFrom           int
+	sources          []source
+
 	// Footprint window: its radius in cells around the center cell, the
 	// squared robot radius and half a cell side. fpWin lists the
 	// window's cells, core first, then ring, then the rest; fpCore and
@@ -103,6 +112,14 @@ const fpMargin = 1e-6
 type kernelRow struct {
 	dy, half int
 	costs    []uint8
+}
+
+// source is one lethal cell of the combined grid, with whether its
+// stamps left of it (left) or above it (up) are dominated by an earlier
+// lethal neighbour's and skipped.
+type source struct {
+	x, y     int32
+	left, up bool
 }
 
 // New allocates a costmap; all layers start free.
@@ -172,8 +189,20 @@ func (c *Costmap) buildFootprint() {
 // the inflation radius: 253 inside the robot radius, exponentially
 // decaying outside (cost = 252·exp(-scale·(d - r_robot))). Offsets are
 // grouped into one row span per dy.
+//
+// It also checks, on the built uint8 costs K (0 outside the kernel),
+// the two orders rebuild's dominance rules need. The left rule needs
+// K(dx, dy) <= K(dx+1, dy) for every dx <= -1, the up rule
+// K(dx, dy) <= K(dx, dy+1) for every dy <= -1, and both need no cost of
+// UnknownCost: a stamp of 255 on an unknown cell counts without raising
+// it, and can take a cell back to unknown. A rule whose check fails is
+// off. With CostScale >= 0 no cost rises with distance, and both pass;
+// a negative CostScale can wrap the uint8 conversion into costs that
+// fail them.
 func (c *Costmap) buildKernel() {
 	r := int(math.Ceil(c.cfg.InflationRadius / c.cfg.Resolution))
+	c.leftRule, c.upRule = true, true
+	var prev []uint8 // row dy-1, over dx = -r..r
 	for dy := -r; dy <= r; dy++ {
 		costs := make([]uint8, 2*r+1)
 		half := -1
@@ -197,6 +226,18 @@ func (c *Costmap) buildKernel() {
 			}
 			costs[dx+r] = cost
 			half = max(half, dx, -dx)
+		}
+		for k, cost := range costs {
+			if cost == UnknownCost || k < r && cost > costs[k+1] {
+				c.leftRule = false
+			}
+			if cost == UnknownCost || dy <= 0 && prev != nil && prev[k] > cost {
+				c.upRule = false
+			}
+		}
+		prev = costs
+		if dy < 0 && half >= 0 {
+			c.upFrom++
 		}
 		if half >= 0 {
 			c.inflation = append(c.inflation, kernelRow{dy: dy, half: half, costs: costs[r-half : r+half+1]})
@@ -261,29 +302,16 @@ func (c *Costmap) LoadStatic(m *grid.Map) {
 }
 
 // Update applies one laser scan taken from the given pose: clears the
-// obstacle layer along each beam and marks endpoints, then recombines
-// and re-inflates the master grid. It returns the work done.
+// obstacle layer along each beam, endpoint excluded, and marks the
+// endpoints of hits within MaxObstacleDist, then recombines and
+// re-inflates the master grid. It returns the work done.
 func (c *Costmap) Update(pose geom.Pose, scan *sensor.Scan) UpdateStats {
 	var st UpdateStats
 	origin := c.WorldToCell(pose.Pos)
 	for i := 0; i < scan.NumBeams(); i++ {
 		r := scan.Ranges[i]
-		end := scan.Endpoint(pose, i)
-		endCell := c.WorldToCell(end)
-		// Clear along the beam (excluding the endpoint when it marks).
-		geom.Bresenham(origin, endCell, func(cell geom.Cell) bool {
-			if !c.InBounds(cell) {
-				return false
-			}
-			if cell == endCell {
-				return false
-			}
-			if c.obstacle[c.idx(cell)] == LethalCost {
-				c.obstacle[c.idx(cell)] = FreeCost
-			}
-			st.CellsCleared++
-			return true
-		})
+		endCell := c.WorldToCell(scan.Endpoint(pose, i))
+		st.CellsCleared += c.clearBeam(origin, endCell)
 		if scan.IsHit(i) && r <= c.cfg.MaxObstacleDist && c.InBounds(endCell) {
 			c.obstacle[c.idx(endCell)] = LethalCost
 			st.CellsMarked++
@@ -292,46 +320,133 @@ func (c *Costmap) Update(pose geom.Pose, scan *sensor.Scan) UpdateStats {
 	return st.add(c.rebuild())
 }
 
-// rebuild combines static and obstacle layers into the master grid and
-// applies inflation around every lethal cell.
-func (c *Costmap) rebuild() UpdateStats {
-	var st UpdateStats
-	for i := range c.master {
-		v := c.static[i]
-		if c.obstacle[i] == LethalCost {
-			v = LethalCost
-		}
-		c.master[i] = v
-	}
-	// Inflate: stamp the kernel around every lethal cell. Sources go in
-	// raster order, so every cell receives its stamps in a fixed order
-	// and the count of raising writes is deterministic.
-	w, h := c.cfg.Width, c.cfg.Height
-	for y := 0; y < h; y++ {
-		for x := 0; x < w; x++ {
-			i := y*w + x
-			if c.static[i] == LethalCost || c.obstacle[i] == LethalCost {
-				st.CellsInflated += c.inflate(x, y)
+// clearBeam frees the obstacle layer along the Bresenham walk from a
+// toward b, b excluded, and returns the number of cells it walked. The
+// walk is monotone in x and y, so when both ends are on the map every
+// cell between them is too, and the walk reaches b after exactly
+// max(|dx|, |dy|) steps: that path runs with no bounds or end-cell test
+// per cell, and writes FreeCost unconditionally, which on a layer of
+// FreeCost and LethalCost is the same as clearing a lethal cell. Any
+// other beam takes the geom.Bresenham walk, which stops at the first
+// cell off the map.
+func (c *Costmap) clearBeam(a, b geom.Cell) int {
+	if !c.InBounds(a) || !c.InBounds(b) {
+		n := 0
+		geom.Bresenham(a, b, func(cell geom.Cell) bool {
+			if !c.InBounds(cell) || cell == b {
+				return false
 			}
+			c.obstacle[c.idx(cell)] = FreeCost
+			n++
+			return true
+		})
+		return n
+	}
+	dx, dy := b.X-a.X, b.Y-a.Y
+	sx, sy := 1, c.cfg.Width
+	if dx < 0 {
+		dx, sx = -dx, -1
+	}
+	if dy < 0 {
+		dy, sy = -dy, -sy
+	}
+	steps := max(dx, dy)
+	obstacle := c.obstacle
+	errv := dx - dy
+	i := c.idx(a)
+	for range steps {
+		obstacle[i] = FreeCost
+		// The Bresenham step without branches: a mask is -1 when its
+		// axis steps, x when e2 > -dy and y when e2 < dx.
+		e2 := 2 * errv
+		mx := (-dy - e2) >> 63
+		my := (e2 - dx) >> 63
+		errv += dx&my - dy&mx
+		i += sx&mx + sy&my
+	}
+	return steps
+}
+
+// rebuild combines the static and obstacle layers into the master grid
+// and stamps the inflation kernel around every lethal cell (a source).
+// The obstacle layer holds only FreeCost and LethalCost, so the combine
+// is the static layer with each lethal obstacle cell set lethal; both
+// that scan and the source scan below find their cells with
+// bytes.IndexByte.
+//
+// Sources go in raster order, so every cell receives its stamps in a
+// fixed order and the count of raising writes is deterministic. A stamp
+// writes a cell whose cost it exceeds, and an unknown cell only with
+// inscribed or lethal. When the kernel passes buildKernel's checks, a
+// source whose left neighbour is also a source skips its stamps at
+// dx <= -1. The neighbour stamped each of those cells earlier with a
+// cost no lower, and after that stamp the cell either holds at least
+// the skipped cost, or is still unknown and both costs are below
+// inscribed; so the skipped stamp would neither write nor count. A
+// source whose previous-row cell (x, y-1) is a source skips its kernel
+// rows dy <= -1 alike. Where the neighbour itself skipped such a cell,
+// an earlier source covered it with a cost no lower, and that chain
+// ends at a real stamp. The neighbour flags are read from the combined
+// grid before any stamp, so they say "is a source" whatever costs the
+// kernel holds.
+func (c *Costmap) rebuild() UpdateStats {
+	m := c.master
+	copy(m, c.static)
+	for i := 0; ; i++ {
+		j := bytes.IndexByte(c.obstacle[i:], LethalCost)
+		if j < 0 {
+			break
 		}
+		i += j
+		m[i] = LethalCost
+	}
+	w, h := c.cfg.Width, c.cfg.Height
+	c.sources = c.sources[:0]
+	for y := 0; y < h; y++ {
+		row := m[y*w:][:w]
+		for x := 0; ; x++ {
+			j := bytes.IndexByte(row[x:], LethalCost)
+			if j < 0 {
+				break
+			}
+			x += j
+			c.sources = append(c.sources, source{
+				x: int32(x), y: int32(y),
+				left: c.leftRule && x > 0 && row[x-1] == LethalCost,
+				up:   c.upRule && y > 0 && m[(y-1)*w+x] == LethalCost,
+			})
+		}
+	}
+	var st UpdateStats
+	for _, s := range c.sources {
+		st.CellsInflated += c.inflate(s)
 	}
 	return st
 }
 
-// inflate stamps the kernel around the lethal cell (x, y), each row
-// span clipped to the map, and returns the number of cells it raised.
-// A stamp raises a cell whose cost it exceeds; an unknown cell only to
-// inscribed or lethal. Kernel costs stay below UnknownCost, so the
-// first test never fires on an unknown cell.
-func (c *Costmap) inflate(x, y int) int {
+// inflate stamps the kernel around the source s, each row span clipped
+// to the map and without the stamps its flags mark dominated (see
+// rebuild), and returns the number of cells it raised. A stamp raises a
+// cell whose cost it exceeds; an unknown cell only to inscribed or
+// lethal. No cost exceeds UnknownCost, so the first test never fires on
+// an unknown cell.
+func (c *Costmap) inflate(s source) int {
 	w, h := c.cfg.Width, c.cfg.Height
+	x, y := int(s.x), int(s.y)
+	rows := c.inflation
+	if s.up {
+		rows = rows[c.upFrom:]
+	}
 	n := 0
-	for _, row := range c.inflation {
+	for _, row := range rows {
 		ny := y + row.dy
 		if ny < 0 || ny >= h {
 			continue
 		}
 		costs, lo := row.costs, x-row.half
+		if s.left {
+			costs, lo = costs[row.half:], x
+		}
 		if lo < 0 {
 			costs, lo = costs[-lo:], 0
 		}

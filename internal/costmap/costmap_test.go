@@ -197,6 +197,22 @@ func BenchmarkCostmapUpdate(b *testing.B) {
 	}
 }
 
+// BenchmarkCostmapRebuild times rebuild alone (recombining the layers
+// and re-inflating) on the Fig. 13 lab map, after one 360-beam scan's
+// Update has marked its obstacles.
+func BenchmarkCostmapRebuild(b *testing.B) {
+	m := world.LabMap()
+	c := New(DefaultConfig(m.Width, m.Height, m.Resolution, m.Origin))
+	c.SetStatic(m)
+	pose := geom.P(1, 1, 0)
+	c.Update(pose, sensor.NewLDS01(0.01, rand.New(rand.NewSource(1))).Sense(m, pose, 0))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c.rebuild()
+	}
+}
+
 func TestInflationKernelSymmetry(t *testing.T) {
 	// Property: the inflated cost field around a single lethal cell must
 	// be symmetric under the 8 grid symmetries.

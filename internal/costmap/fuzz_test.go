@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"lgvoffload/internal/geom"
+	"lgvoffload/internal/grid"
 )
 
 // FuzzFootprintCost checks FootprintCost against the per-cell reference
@@ -24,6 +25,62 @@ func FuzzFootprintCost(f *testing.F) {
 		p := geom.V(x, y)
 		if got, want := c.FootprintCost(p), refFootprintCost(c, p); got != want {
 			t.Fatalf("FootprintCost(%v) = %d, reference %d", p, got, want)
+		}
+	})
+}
+
+// FuzzRebuildMatchesReference checks rebuild against the per-offset
+// reference, on the master bytes and CellsInflated, over fuzzed kernels
+// (resolution, robot and inflation radii, any CostScale, unknown
+// handling) and layers: static occupied and unknown densities, an
+// obstacle density, maps down to one cell wide, and lethal borders
+// (border bits 0-3: bottom row, top row, left column, right column).
+// A density of 255 makes every cell lethal. Negative and NaN scales
+// build kernels that fail the dominance checks, so rebuild must fall
+// back to stamping every offset.
+func FuzzRebuildMatchesReference(f *testing.F) {
+	f.Add(int64(1), uint8(59), uint8(39), 0.05, 0.105, 0.45, 8.0, false, uint8(10), uint8(40), uint8(5), uint8(0))
+	f.Add(int64(2), uint8(0), uint8(40), 0.05, 0.105, 0.45, 8.0, true, uint8(60), uint8(60), uint8(30), uint8(15))  // 1×N
+	f.Add(int64(3), uint8(40), uint8(0), 0.05, 0.105, 0.45, -3.0, false, uint8(60), uint8(60), uint8(30), uint8(0)) // N×1
+	f.Add(int64(4), uint8(20), uint8(20), 0.05, 0.3, 0.2, 8.0, false, uint8(255), uint8(0), uint8(0), uint8(0))     // fully lethal
+	f.Add(int64(5), uint8(30), uint8(25), 0.1, 0.15, 0.6, math.NaN(), false, uint8(20), uint8(80), uint8(10), uint8(15))
+	f.Fuzz(func(t *testing.T, seed int64, w, h uint8, res, robot, inflation, scale float64, unknownLethal bool, occ, unknown, obst, border uint8) {
+		if !(res >= 0.01 && res <= 1) || !(robot >= 0 && robot <= 20*res) || !(inflation >= 0 && inflation <= 20*res) {
+			t.Skip("kernel or footprint outside the fuzzed range")
+		}
+		cfg := DefaultConfig(1+int(w%48), 1+int(h%48), res, geom.V(-0.3, 0.7))
+		cfg.RobotRadius, cfg.InflationRadius, cfg.CostScale = robot, inflation, scale
+		cfg.UnknownIsLethal = unknownLethal
+		rng := rand.New(rand.NewSource(seed))
+		c := New(cfg)
+		m := grid.NewMap(cfg.Width, cfg.Height, cfg.Resolution, cfg.Origin, grid.Free)
+		for i := range m.Cells {
+			switch {
+			case rng.Intn(255) < int(occ):
+				m.Cells[i] = grid.Occupied
+			case rng.Intn(255) < int(unknown):
+				m.Cells[i] = grid.Unknown
+			}
+		}
+		c.SetStatic(m)
+		for y := 0; y < cfg.Height; y++ {
+			for x := 0; x < cfg.Width; x++ {
+				onBorder := y == 0 && border&1 != 0 || y == cfg.Height-1 && border&2 != 0 ||
+					x == 0 && border&4 != 0 || x == cfg.Width-1 && border&8 != 0
+				if onBorder || rng.Intn(255) < int(obst) {
+					c.obstacle[y*cfg.Width+x] = LethalCost
+				}
+			}
+		}
+		st := c.rebuild()
+		want, inflated := refRebuild(c)
+		if st.CellsInflated != inflated {
+			t.Fatalf("CellsInflated = %d, reference %d (left rule %v, up rule %v)", st.CellsInflated, inflated, c.leftRule, c.upRule)
+		}
+		for i, v := range c.master {
+			if v != want[i] {
+				t.Fatalf("cell (%d, %d) = %d, reference %d (left rule %v, up rule %v)", i%cfg.Width, i/cfg.Width, v, want[i], c.leftRule, c.upRule)
+			}
 		}
 	})
 }

@@ -7,6 +7,8 @@ import (
 
 	"lgvoffload/internal/geom"
 	"lgvoffload/internal/grid"
+	"lgvoffload/internal/sensor"
+	"lgvoffload/internal/world"
 )
 
 // refFootprintCost is the per-cell footprint check the row-span kernel
@@ -114,6 +116,43 @@ func refRebuild(c *Costmap) ([]uint8, int) {
 		}
 	}
 	return master, inflated
+}
+
+// refUpdate is Update before its bounds-free clearing walk: every beam
+// walks geom.Bresenham with a bounds and end-cell test per cell and
+// clears only lethal cells, and refRebuild recombines the layers. It
+// updates c's obstacle layer, replaces its master grid and returns the
+// work done.
+func refUpdate(c *Costmap, pose geom.Pose, scan *sensor.Scan) UpdateStats {
+	var st UpdateStats
+	origin := c.WorldToCell(pose.Pos)
+	for i := 0; i < scan.NumBeams(); i++ {
+		r := scan.Ranges[i]
+		end := scan.Endpoint(pose, i)
+		endCell := c.WorldToCell(end)
+		// Clear along the beam, the end cell excluded.
+		geom.Bresenham(origin, endCell, func(cell geom.Cell) bool {
+			if !c.InBounds(cell) {
+				return false
+			}
+			if cell == endCell {
+				return false
+			}
+			if c.obstacle[c.idx(cell)] == LethalCost {
+				c.obstacle[c.idx(cell)] = FreeCost
+			}
+			st.CellsCleared++
+			return true
+		})
+		if scan.IsHit(i) && r <= c.cfg.MaxObstacleDist && c.InBounds(endCell) {
+			c.obstacle[c.idx(endCell)] = LethalCost
+			st.CellsMarked++
+		}
+	}
+	master, inflated := refRebuild(c)
+	copy(c.master, master)
+	st.CellsInflated = inflated
+	return st
 }
 
 // randomCostmap builds a costmap whose static layer holds random
@@ -290,6 +329,98 @@ func TestRebuildMatchesReference(t *testing.T) {
 			for i := range want {
 				if got[i] != want[i] {
 					t.Fatalf("case %d trial %d: cell %d = %d, reference %d", ci, trial, i, got[i], want[i])
+				}
+			}
+		}
+	}
+}
+
+// cloneCostmap returns a costmap with c's configuration and layers.
+func cloneCostmap(c *Costmap) *Costmap {
+	d := New(c.cfg)
+	copy(d.static, c.static)
+	copy(d.obstacle, c.obstacle)
+	copy(d.master, c.master)
+	return d
+}
+
+// randomUpdateScan returns a pose and a scan for TestUpdateMatchesReference:
+// an origin on the map, or one time in four up to 2 m off it, a maximum
+// range from half a meter to past the map, and beams in every octant
+// (one scan in four along the axes and diagonals) that are zero-length,
+// max-range misses, hits within and beyond the marking range, or long
+// enough to leave the map.
+func randomUpdateScan(rng *rand.Rand, c *Costmap) (geom.Pose, *sensor.Scan) {
+	cfg := c.Config()
+	wm, hm := float64(cfg.Width)*cfg.Resolution, float64(cfg.Height)*cfg.Resolution
+	pos := geom.V(cfg.Origin.X+rng.Float64()*wm, cfg.Origin.Y+rng.Float64()*hm)
+	if rng.Intn(4) == 0 {
+		pos = geom.V(cfg.Origin.X-2+rng.Float64()*(wm+4), cfg.Origin.Y-2+rng.Float64()*(hm+4))
+	}
+	maxRange := 0.5 + rng.Float64()*(max(wm, hm)+2)
+	scan := &sensor.Scan{
+		AngleMin: -math.Pi + rng.Float64(),
+		AngleInc: 2 * math.Pi / float64(1+rng.Intn(90)),
+		MaxRange: maxRange,
+		Ranges:   make([]float64, 1+rng.Intn(90)),
+	}
+	for i := range scan.Ranges {
+		switch rng.Intn(5) {
+		case 0:
+			scan.Ranges[i] = 0
+		case 1:
+			scan.Ranges[i] = maxRange
+		case 2:
+			scan.Ranges[i] = rng.Float64() * cfg.MaxObstacleDist
+		default:
+			scan.Ranges[i] = rng.Float64() * maxRange
+		}
+	}
+	heading := rng.Float64()*2*math.Pi - math.Pi
+	if rng.Intn(4) == 0 {
+		// Axis and diagonal beams: the Bresenham error term ties.
+		heading, scan.AngleMin, scan.AngleInc = 0, -math.Pi, math.Pi/4
+	}
+	return geom.P(pos.X, pos.Y, heading), scan
+}
+
+// TestUpdateMatchesReference runs sequences of updates on the lab map
+// and on a random map, and after each one holds the obstacle layer, the
+// master grid and all three UpdateStats counts to refUpdate's.
+func TestUpdateMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	lab := world.LabMap()
+	labMap := New(DefaultConfig(lab.Width, lab.Height, lab.Resolution, lab.Origin))
+	labMap.SetStatic(lab)
+	maps := []struct {
+		name string
+		c    *Costmap
+	}{
+		{"lab", labMap},
+		{"random", randomCostmap(rng, DefaultConfig(53, 41, 0.05, geom.V(-1.1, 0.4)))},
+	}
+	// A dense obstacle layer, so beam ends that do not mark often hold a
+	// lethal cell that no walk may clear.
+	for i := range maps[1].c.obstacle {
+		if rng.Intn(3) == 0 {
+			maps[1].c.obstacle[i] = LethalCost
+		}
+	}
+	for _, tc := range maps {
+		name, c := tc.name, tc.c
+		ref := cloneCostmap(c)
+		for u := 0; u < 60; u++ {
+			pose, scan := randomUpdateScan(rng, c)
+			got, want := c.Update(pose, scan), refUpdate(ref, pose, scan)
+			if got != want {
+				t.Fatalf("%s update %d: stats %+v, reference %+v", name, u, got, want)
+			}
+			for i := range c.obstacle {
+				if c.obstacle[i] != ref.obstacle[i] {
+					t.Fatalf("%s update %d: obstacle cell %d = %d, reference %d", name, u, i, c.obstacle[i], ref.obstacle[i])
+				}
+				if c.master[i] != ref.master[i] {
+					t.Fatalf("%s update %d: master cell %d = %d, reference %d", name, u, i, c.master[i], ref.master[i])
 				}
 			}
 		}
