@@ -1,5 +1,5 @@
 # Tier-1 gate (ROADMAP.md): everything must pass before a change lands.
-.PHONY: check fmt vet build test chaos bench bench-gate bench-harness digests reproduce trace-demo hunt advhunt fuzz-smoke dash-smoke serve-smoke
+.PHONY: check fmt vet build test chaos bench bench-gate bench-harness digests reproduce reproduce-check trace-demo hunt advhunt fuzz-smoke dash-smoke serve-smoke
 
 check: fmt vet build test
 
@@ -73,6 +73,24 @@ digests:
 
 reproduce:
 	go run ./cmd/reproduce -exp all
+
+# Paper-output check: rerun every experiment in full mode with -figdir,
+# drop the wall-clock lines ("[<id> done in …]" and "[figures written
+# …]") from both the run and the committed reproduce_output.txt, require
+# the rest to match, then cmp every SVG with the committed figures/.
+# A change that claims the same paper numbers and figures must pass
+# this. About 50 s on 2 CPUs, build included.
+reproduce-check:
+	@set -e; tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
+	go run ./cmd/reproduce -exp all -figdir "$$tmp/figures" > "$$tmp/run.txt"; \
+	grep -v -e '^\[.* done in .*\]$$' -e '^\[figures written ' "$$tmp/run.txt" > "$$tmp/got.txt"; \
+	grep -v -e '^\[.* done in .*\]$$' -e '^\[figures written ' reproduce_output.txt > "$$tmp/want.txt"; \
+	diff "$$tmp/want.txt" "$$tmp/got.txt"; \
+	(cd figures && ls) > "$$tmp/want.ls"; \
+	(cd "$$tmp/figures" && ls) > "$$tmp/got.ls"; \
+	diff "$$tmp/want.ls" "$$tmp/got.ls"; \
+	for f in figures/*; do cmp "$$f" "$$tmp/$$f"; done; \
+	echo "reproduce-check: report matches reproduce_output.txt and every SVG matches figures/"
 
 # Scenario-matrix hunt (internal/simtest): generate SEEDS missions
 # across worlds × faults × goals × fleets × threads × links, check the

@@ -32,11 +32,11 @@ func main() {
 	}
 	sizes := []int{1, 2, 4, 8, 16, 32}
 
-	edge, err := fleet.Sweep(base(lgvoffload.DeployEdge(8)), sizes)
+	edge, err := fleet.Sweep(base(lgvoffload.DeployEdge(8)), sizes, core.Run)
 	if err != nil {
 		log.Fatal(err)
 	}
-	cloud, err := fleet.Sweep(base(lgvoffload.DeployCloud(12)), sizes)
+	cloud, err := fleet.Sweep(base(lgvoffload.DeployCloud(12)), sizes, core.Run)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -51,10 +51,17 @@ func ecnWorkPerUpdate(ds *trace.Dataset, particles, entries int) hostsim.Work {
 	return total.Scale(1 / float64(entries))
 }
 
-// RunFig9 regenerates Figure 9: processing time of the energy-critical
-// SLAM node under different thread and particle counts on the three
-// platforms, with the headline speedups.
-func RunFig9(w io.Writer, quick bool) error {
+// fig9Data is Figure 9's sweep: the measured per-update SLAM work at
+// each particle count, and the headline numbers at the largest count.
+type fig9Data struct {
+	particles []int
+	work      []hostsim.Work // per update, one per particle count
+	base      float64        // local 1-thread seconds per update
+	edgeUp    float64        // gateway speedup at 8 threads
+	cloudUp   float64        // cloud speedup at 24 threads
+}
+
+func fig9(quick bool) fig9Data {
 	particles := []int{10, 20, 30, 100}
 	entries := 60
 	if quick {
@@ -64,55 +71,60 @@ func RunFig9(w io.Writer, quick bool) error {
 	ds := trace.LabDataset(11, entries+5)
 
 	// Measure the per-update work once per particle count.
-	work := make(map[int]hostsim.Work, len(particles))
+	d := fig9Data{particles: particles}
 	for _, m := range particles {
-		work[m] = ecnWorkPerUpdate(ds, m, entries)
+		d.work = append(d.work, ecnWorkPerUpdate(ds, m, entries))
 	}
-	base := hostsim.RaspberryPi().ExecTime(work[particles[len(particles)-1]], 1)
+	maxW := d.work[len(d.work)-1]
+	d.base = hostsim.RaspberryPi().ExecTime(maxW, 1)
+	d.edgeUp = hostsim.EdgeGateway().Speedup(maxW, 8)
+	d.cloudUp = hostsim.CloudServer().Speedup(maxW, 24)
+	return d
+}
 
+// RunFig9 regenerates Figure 9: processing time of the energy-critical
+// SLAM node under different thread and particle counts on the three
+// platforms, with the headline speedups.
+func RunFig9(w io.Writer, quick bool) error {
+	d := fig9(quick)
 	for _, pt := range platformsUnderTest() {
 		hr(w, fmt.Sprintf("Fig. 9 — SLAM processing time (s) on %s", pt.P.Name))
 		fmt.Fprintf(w, "%8s", "threads")
-		for _, m := range particles {
+		for _, m := range d.particles {
 			fmt.Fprintf(w, "  M=%-7d", m)
 		}
 		fmt.Fprintln(w)
 		for _, th := range pt.Threads {
 			fmt.Fprintf(w, "%8d", th)
-			for _, m := range particles {
-				fmt.Fprintf(w, "  %-9.4f", pt.P.ExecTime(work[m], th))
+			for _, wk := range d.work {
+				fmt.Fprintf(w, "  %-9.4f", pt.P.ExecTime(wk, th))
 			}
 			fmt.Fprintln(w)
 		}
 	}
 
-	maxM := particles[len(particles)-1]
-	edgeUp := hostsim.EdgeGateway().Speedup(work[maxM], 8)
-	cloudUp := hostsim.CloudServer().Speedup(work[maxM], 24)
 	hr(w, "Fig. 9 — headline accelerations at the largest particle count")
-	fmt.Fprintf(w, "local 1-thread baseline: %.3f s/update (M=%d)\n", base, maxM)
-	fmt.Fprintf(w, "gateway (8 threads):   %6.2fx   (paper: up to 27.97x)\n", edgeUp)
-	fmt.Fprintf(w, "cloud   (24 threads):  %6.2fx   (paper: up to 40.84x)\n", cloudUp)
-	fmt.Fprintf(w, "manycore cloud beats the gateway on the ECN: %v (paper: yes)\n", cloudUp > edgeUp)
+	fmt.Fprintf(w, "local 1-thread baseline: %.3f s/update (M=%d)\n", d.base, d.particles[len(d.particles)-1])
+	fmt.Fprintf(w, "gateway (8 threads):   %6.2fx   (paper: up to 27.97x)\n", d.edgeUp)
+	fmt.Fprintf(w, "cloud   (24 threads):  %6.2fx   (paper: up to 40.84x)\n", d.cloudUp)
+	fmt.Fprintf(w, "manycore cloud beats the gateway on the ECN: %v (paper: yes)\n", d.cloudUp > d.edgeUp)
 	return nil
 }
 
-// Fig9Speedups returns (gateway@8T, cloud@24T) speedups at the largest
-// particle count — used by tests to assert the paper's shape.
-func Fig9Speedups(quick bool) (edge, cloud float64) {
-	entries, particles := 60, 100
-	if quick {
-		entries, particles = 15, 30
-	}
-	ds := trace.LabDataset(11, entries+5)
-	wk := ecnWorkPerUpdate(ds, particles, entries)
-	return hostsim.EdgeGateway().Speedup(wk, 8), hostsim.CloudServer().Speedup(wk, 24)
+// vdpWork is the average per-tick work of the velocity dependent path's
+// three nodes.
+type vdpWork struct{ cm, tk, mux hostsim.Work }
+
+// time is the VDP's processing time on p. Only the trajectory scoring
+// parallelizes (Fig. 5); costmap and mux are serial.
+func (v vdpWork) time(p hostsim.Platform, threads int) float64 {
+	return p.ExecTime(v.cm, 1) + p.ExecTime(v.tk, threads) + p.ExecTime(v.mux, 1)
 }
 
 // vdpWorkPerTick replays a dataset prefix through the VDP kernels
 // (costmap update + trajectory rollout + mux) at the given trajectory
 // count and returns average per-tick work for each node.
-func vdpWorkPerTick(ds *trace.Dataset, samples, entries int) (cm, tk, mux hostsim.Work) {
+func vdpWorkPerTick(ds *trace.Dataset, samples, entries int) vdpWork {
 	ccfg := costmap.DefaultConfig(ds.Map.Width, ds.Map.Height, ds.Map.Resolution, ds.Map.Origin)
 	cmap := costmap.New(ccfg)
 	cmap.SetStatic(ds.Map)
@@ -128,29 +140,37 @@ func vdpWorkPerTick(ds *trace.Dataset, samples, entries int) (cm, tk, mux hostsi
 	if entries > ds.Len() {
 		entries = ds.Len()
 	}
+	var v vdpWork
 	n := 0
 	for _, e := range ds.Entries[:entries] {
 		st := cmap.Update(e.TruePose, e.Scan)
-		cm = cm.Add(core.CostmapWork(st.Total()))
+		v.cm = v.cm.Add(core.CostmapWork(st.Total()))
 		out, err := tk8.Plan(tracker.Input{
 			Pose: e.TruePose, Vel: geom.Twist{V: 0.1},
 			Path:    []geom.Vec2{e.TruePose.Pos, e.TruePose.Pos.Add(geom.V(2, 0))},
 			Costmap: cmap,
 		})
 		if err == nil {
-			tk = tk.Add(core.TrackingWork(out.Ops))
+			v.tk = v.tk.Add(core.TrackingWork(out.Ops))
 		}
-		mux = mux.Add(core.MuxWork())
+		v.mux = v.mux.Add(core.MuxWork())
 		n++
 	}
 	inv := 1 / float64(n)
-	return cm.Scale(inv), tk.Scale(inv), mux.Scale(inv)
+	return vdpWork{v.cm.Scale(inv), v.tk.Scale(inv), v.mux.Scale(inv)}
 }
 
-// RunFig10 regenerates Figure 10: processing time of the velocity
-// dependent path (CostmapGen + Path Tracking + Velocity Multiplexer)
-// under different thread and sample counts on the three platforms.
-func RunFig10(w io.Writer, quick bool) error {
+// fig10Data is Figure 10's sweep: the measured per-tick VDP work at each
+// sample count, and the headline speedups at the largest count.
+type fig10Data struct {
+	samples []int
+	work    []vdpWork // one per sample count
+	base    float64   // local 1-thread seconds per tick
+	edgeUp  float64   // gateway speedup at 8 threads
+	cloudUp float64   // cloud speedup at 12 threads
+}
+
+func fig10(quick bool) fig10Data {
 	samples := []int{200, 400, 1000, 2000}
 	entries := 40
 	if quick {
@@ -159,66 +179,47 @@ func RunFig10(w io.Writer, quick bool) error {
 	}
 	ds := trace.LabDataset(12, entries+5)
 
-	type vdp struct{ cm, tk, mux hostsim.Work }
-	work := make(map[int]vdp, len(samples))
+	d := fig10Data{samples: samples}
 	for _, s := range samples {
-		cm, tk, mux := vdpWorkPerTick(ds, s, entries)
-		work[s] = vdp{cm, tk, mux}
+		d.work = append(d.work, vdpWorkPerTick(ds, s, entries))
 	}
+	maxW := d.work[len(d.work)-1]
+	d.base = maxW.time(hostsim.RaspberryPi(), 1)
+	d.edgeUp = d.base / maxW.time(hostsim.EdgeGateway(), 8)
+	d.cloudUp = d.base / maxW.time(hostsim.CloudServer(), 12)
+	return d
+}
 
-	vdpTime := func(p hostsim.Platform, s, threads int) float64 {
-		wk := work[s]
-		// Only the trajectory scoring parallelizes (Fig. 5); costmap and
-		// mux are serial.
-		return p.ExecTime(wk.cm, 1) + p.ExecTime(wk.tk, threads) + p.ExecTime(wk.mux, 1)
-	}
-
+// RunFig10 regenerates Figure 10: processing time of the velocity
+// dependent path (CostmapGen + Path Tracking + Velocity Multiplexer)
+// under different thread and sample counts on the three platforms.
+func RunFig10(w io.Writer, quick bool) error {
+	d := fig10(quick)
 	for _, pt := range platformsUnderTest() {
 		hr(w, fmt.Sprintf("Fig. 10 — VDP processing time (ms) on %s", pt.P.Name))
 		fmt.Fprintf(w, "%8s", "threads")
-		for _, s := range samples {
+		for _, s := range d.samples {
 			fmt.Fprintf(w, "  S=%-7d", s)
 		}
 		fmt.Fprintln(w)
 		for _, th := range pt.Threads {
 			fmt.Fprintf(w, "%8d", th)
-			for _, s := range samples {
-				fmt.Fprintf(w, "  %-9.2f", vdpTime(pt.P, s, th)*1000)
+			for _, wk := range d.work {
+				fmt.Fprintf(w, "  %-9.2f", wk.time(pt.P, th)*1000)
 			}
 			fmt.Fprintln(w)
 		}
 	}
 
-	maxS := samples[len(samples)-1]
-	base := vdpTime(hostsim.RaspberryPi(), maxS, 1)
-	edgeUp := base / vdpTime(hostsim.EdgeGateway(), maxS, 8)
-	cloudUp := base / vdpTime(hostsim.CloudServer(), maxS, 12)
 	hr(w, "Fig. 10 — headline accelerations at the largest sample count")
-	fmt.Fprintf(w, "local 1-thread baseline: %.1f ms/tick (S=%d)\n", base*1000, maxS)
-	fmt.Fprintf(w, "gateway (8 threads):   %6.2fx   (paper: up to 23.92x)\n", edgeUp)
-	fmt.Fprintf(w, "cloud  (12 threads):   %6.2fx   (paper: up to 17.29x)\n", cloudUp)
-	fmt.Fprintf(w, "high-frequency gateway beats cloud on the VDP: %v (paper: yes)\n", edgeUp > cloudUp)
+	fmt.Fprintf(w, "local 1-thread baseline: %.1f ms/tick (S=%d)\n", d.base*1000, d.samples[len(d.samples)-1])
+	fmt.Fprintf(w, "gateway (8 threads):   %6.2fx   (paper: up to 23.92x)\n", d.edgeUp)
+	fmt.Fprintf(w, "cloud  (12 threads):   %6.2fx   (paper: up to 17.29x)\n", d.cloudUp)
+	fmt.Fprintf(w, "high-frequency gateway beats cloud on the VDP: %v (paper: yes)\n", d.edgeUp > d.cloudUp)
 	cloud := hostsim.CloudServer()
-	minS := samples[0]
-	t4 := vdpTime(cloud, minS, 4)
-	t24 := vdpTime(cloud, minS, 24)
+	t4 := d.work[0].time(cloud, 4)
+	t24 := d.work[0].time(cloud, 24)
 	fmt.Fprintf(w, "cloud scaling saturates above 4 threads at S=%d: t(4)=%.2f ms, t(24)=%.2f ms (paper: yes)\n",
-		minS, t4*1000, t24*1000)
+		d.samples[0], t4*1000, t24*1000)
 	return nil
-}
-
-// Fig10Speedups returns (gateway@8T, cloud@12T) VDP speedups at the
-// largest sample count — used by tests to assert the paper's shape.
-func Fig10Speedups(quick bool) (edge, cloud float64) {
-	entries, samples := 40, 2000
-	if quick {
-		entries, samples = 10, 1000
-	}
-	ds := trace.LabDataset(12, entries+5)
-	cm, tk, mux := vdpWorkPerTick(ds, samples, entries)
-	t := func(p hostsim.Platform, threads int) float64 {
-		return p.ExecTime(cm, 1) + p.ExecTime(tk, threads) + p.ExecTime(mux, 1)
-	}
-	base := t(hostsim.RaspberryPi(), 1)
-	return base / t(hostsim.EdgeGateway(), 8), base / t(hostsim.CloudServer(), 12)
 }

@@ -10,14 +10,16 @@ import (
 	"lgvoffload/internal/netsim"
 )
 
-// RunAPSel runs the §X related-work comparison: prior robustness work
-// selects among multiple access points by bandwidth estimation, which
-// "cannot work when there are no multiple optional communication links".
-// A corridor walk is driven under one and two WAPs; the AP-selection
-// baseline keeps the robot connected only where *some* AP reaches it,
-// while Algorithm 2 guarantees control continuity with a single AP by
-// migrating computation home.
-func RunAPSel(w io.Writer, quick bool) error {
+// apselRow is one (scenario, policy) corridor walk of the §X comparison.
+type apselRow struct {
+	scenario, policy  string
+	remoteAvail, ctrl float64 // shares of ticks
+	apSwitches        int
+}
+
+// apsel walks the corridor out and back under one and then two WAPs,
+// each with the AP-selection baseline and then Algorithm 2.
+func apsel(quick bool) []apselRow {
 	length := 24.0
 	duration := 120.0
 	if quick {
@@ -26,14 +28,7 @@ func RunAPSel(w io.Writer, quick bool) error {
 	}
 	speed := 2 * length / duration // out and back
 
-	type result struct {
-		scenario, policy  string
-		remoteAvail, ctrl float64
-		apSwitches, drops int
-	}
-	var results []result
-
-	walk := func(waps []geom.Vec2, alg2 bool) result {
+	walk := func(waps []geom.Vec2, alg2 bool) apselRow {
 		links := make([]*netsim.Link, len(waps))
 		meters := make([]*netsim.BandwidthMeter, len(waps))
 		for i, wap := range waps {
@@ -45,7 +40,7 @@ func RunAPSel(w io.Writer, quick bool) error {
 		}
 		ctl := core.NewNetController(core.NetThreshold)
 		active := 0
-		res := result{}
+		res := apselRow{}
 		usable, controlled, ticks := 0, 0, 0
 		for now := 0.2; now < duration; now += 0.2 {
 			x := speed * now
@@ -60,8 +55,6 @@ func RunAPSel(w io.Writer, quick bool) error {
 			for i := range links {
 				if arrive, dropped := links[i].Send(now, 64); !dropped {
 					meters[i].Observe(arrive)
-				} else {
-					res.drops++
 				}
 			}
 			// AP selection: switch to the AP with the best bandwidth.
@@ -99,23 +92,33 @@ func RunAPSel(w io.Writer, quick bool) error {
 	oneWAP := []geom.Vec2{{X: 0, Y: 1.5}}
 	twoWAPs := []geom.Vec2{{X: 0, Y: 1.5}, {X: length, Y: 1.5}}
 
+	var rows []apselRow
 	r := walk(oneWAP, false)
 	r.scenario, r.policy = "1 WAP", "AP selection [63-67]"
-	results = append(results, r)
+	rows = append(rows, r)
 	r = walk(oneWAP, true)
 	r.scenario, r.policy = "1 WAP", "Algorithm 2"
-	results = append(results, r)
+	rows = append(rows, r)
 	r = walk(twoWAPs, false)
 	r.scenario, r.policy = "2 WAPs", "AP selection [63-67]"
-	results = append(results, r)
+	rows = append(rows, r)
 	r = walk(twoWAPs, true)
 	r.scenario, r.policy = "2 WAPs", "Algorithm 2"
-	results = append(results, r)
+	return append(rows, r)
+}
 
+// RunAPSel runs the §X related-work comparison: prior robustness work
+// selects among multiple access points by bandwidth estimation, which
+// "cannot work when there are no multiple optional communication links".
+// A corridor walk is driven under one and two WAPs; the AP-selection
+// baseline keeps the robot connected only where *some* AP reaches it,
+// while Algorithm 2 guarantees control continuity with a single AP by
+// migrating computation home.
+func RunAPSel(w io.Writer, quick bool) error {
 	hr(w, "§X related work — AP selection vs Algorithm 2 on a corridor walk")
 	fmt.Fprintf(w, "%-10s %-22s %16s %18s %10s\n",
 		"scenario", "policy", "remote avail.", "control avail.", "AP switches")
-	for _, r := range results {
+	for _, r := range apsel(quick) {
 		fmt.Fprintf(w, "%-10s %-22s %15.0f%% %17.0f%% %10d\n",
 			r.scenario, r.policy, r.remoteAvail*100, r.ctrl*100, r.apSwitches)
 	}
@@ -123,44 +126,4 @@ func RunAPSel(w io.Writer, quick bool) error {
 	fmt.Fprintln(w, "single AP the selection baseline has nothing to select — only Algorithm 2's")
 	fmt.Fprintln(w, "migration keeps the vehicle under control through the dead zone.")
 	return nil
-}
-
-// APSelAvailability exposes the four (remote, control) availabilities
-// for tests: single-WAP baseline, single-WAP Alg2.
-func APSelAvailability() (baseCtrl, alg2Ctrl float64) {
-	var buf discard
-	_ = RunAPSel(&buf, true)
-	// Recompute directly (cheaper than parsing).
-	// The walk function is inlined above; duplicate the essential bits.
-	return apselCtrl(false), apselCtrl(true)
-}
-
-type discard struct{}
-
-func (discard) Write(p []byte) (int, error) { return len(p), nil }
-
-func apselCtrl(alg2 bool) float64 {
-	length, duration := 16.0, 80.0
-	speed := 2 * length / duration
-	cfg := netsim.DefaultEdgeLink(geom.V(0, 1.5))
-	cfg.GoodRange = 4
-	cfg.FadeRange = 9
-	link := netsim.NewLink(cfg, rand.New(rand.NewSource(7)))
-	meter := netsim.NewBandwidthMeter()
-	controlled, ticks := 0, 0
-	for now := 0.2; now < duration; now += 0.2 {
-		x := speed * now
-		if now > duration/2 {
-			x = speed * (duration - now)
-		}
-		link.SetRobotPos(geom.V(x, 1.5))
-		if arrive, dropped := link.Send(now, 64); !dropped {
-			meter.Observe(arrive)
-		}
-		ticks++
-		if alg2 || meter.Rate(now) >= 4 {
-			controlled++
-		}
-	}
-	return float64(controlled) / float64(ticks)
 }

@@ -3,11 +3,13 @@ package bench
 import (
 	"bytes"
 	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
 	"lgvoffload/internal/core"
 	"lgvoffload/internal/hostsim"
+	"lgvoffload/internal/store"
 	"lgvoffload/internal/trace"
 )
 
@@ -65,9 +67,13 @@ func TestTable2Output(t *testing.T) {
 }
 
 func TestTable2SharesShape(t *testing.T) {
-	shares, err := Table2Shares(true)
+	withMap, _, err := table2(true)
 	if err != nil {
 		t.Fatal(err)
+	}
+	shares := make(map[string]float64)
+	for _, r := range withMap.Cycles.Breakdown() {
+		shares[r.Node] = r.Share
 	}
 	if shares[core.NodeTracking] < shares[core.NodeCostmap] {
 		t.Error("tracking should out-cycle costmap (paper: 60% vs 37%)")
@@ -78,7 +84,8 @@ func TestTable2SharesShape(t *testing.T) {
 }
 
 func TestFig9SpeedupShape(t *testing.T) {
-	edge, cloud := Fig9Speedups(true)
+	d := fig9(true)
+	edge, cloud := d.edgeUp, d.cloudUp
 	// Shape: both large, cloud (manycore) beats the gateway on the ECN.
 	if edge < 10 {
 		t.Errorf("gateway ECN speedup = %.1f, want >> 1", edge)
@@ -92,7 +99,8 @@ func TestFig9SpeedupShape(t *testing.T) {
 }
 
 func TestFig10SpeedupShape(t *testing.T) {
-	edge, cloud := Fig10Speedups(true)
+	d := fig10(true)
+	edge, cloud := d.edgeUp, d.cloudUp
 	if edge < 8 {
 		t.Errorf("gateway VDP speedup = %.1f, want >> 1", edge)
 	}
@@ -120,7 +128,7 @@ func TestFig10Output(t *testing.T) {
 }
 
 func TestFig11SwitchSequence(t *testing.T) {
-	offAt, onAt := Fig11SwitchTimes(false)
+	offAt, onAt := fig11SwitchTimes(fig11Walk(false))
 	if offAt == 0 {
 		t.Fatal("Algorithm 2 never switched local on the outbound leg")
 	}
@@ -147,9 +155,13 @@ func TestFig11Output(t *testing.T) {
 }
 
 func TestFig12VelocityOrdering(t *testing.T) {
-	v, err := Fig12AvgVmax(true)
+	results, err := fig12(true)
 	if err != nil {
 		t.Fatal(err)
+	}
+	v := make(map[string]float64)
+	for i, d := range deployments() {
+		v[d.Name] = results[i].AvgMaxVel
 	}
 	if v["edge+8T"] <= v["local"] {
 		t.Errorf("edge+8T (%.3f) must beat local (%.3f)", v["edge+8T"], v["local"])
@@ -166,10 +178,12 @@ func TestFig12VelocityOrdering(t *testing.T) {
 }
 
 func TestFig13Reductions(t *testing.T) {
-	eRed, tRed, err := Fig13Reductions(core.NavigationWithMap, true)
+	rows, err := runFig13Workload(core.NavigationWithMap, true)
 	if err != nil {
 		t.Fatal(err)
 	}
+	local, bestTotal, bestTime := fig13Best(rows)
+	eRed, tRed := local.Total/bestTotal.Total, local.Time/bestTime.Time
 	if eRed < 1.2 {
 		t.Errorf("energy reduction %.2fx — offloading must save energy", eRed)
 	}
@@ -179,10 +193,18 @@ func TestFig13Reductions(t *testing.T) {
 }
 
 func TestFig14GapGrowsWithSpeed(t *testing.T) {
-	low, high, err := Fig14Gaps(true)
+	policies, err := fig14(true)
 	if err != nil {
 		t.Fatal(err)
 	}
+	var gaps []float64
+	for _, p := range policies {
+		if p.vmaxSum == 0 {
+			t.Fatalf("%s: no trace", p.name)
+		}
+		gaps = append(gaps, p.gapSum/p.vmaxSum)
+	}
+	low, high := gaps[0], gaps[1]
 	// The paper's Fig. 14 claim: the higher the maximum velocity, the
 	// bigger the max-vs-real gap.
 	if high <= low {
@@ -257,6 +279,41 @@ func TestFleetOutput(t *testing.T) {
 	}
 }
 
+// TestRecordIntoCoversFleet checks that an armed store records the
+// fleet sweep's missions too, as `reproduce -store` promises for every
+// mission a campaign runs.
+func TestRecordIntoCoversFleet(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "fleet.lgvstore")
+	st, err := store.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	RecordInto(st, "test/fleet")
+	defer RecordInto(nil, "")
+	runQuick(t, "fleet")
+	RecordInto(nil, "")
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	st, err = store.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	perDeploy := make(map[string]int)
+	for _, m := range st.List(store.Filter{}) {
+		if m.Start.Label != "test/fleet" || !m.Finished() {
+			t.Errorf("mission %d: label %q, finished %v", m.Index, m.Start.Label, m.Finished())
+		}
+		perDeploy[m.Start.Deploy]++
+	}
+	// Three quick fleet sizes on each of the two servers.
+	if perDeploy["edge+8T"] != 3 || perDeploy["cloud+12T"] != 3 || len(perDeploy) != 2 {
+		t.Errorf("recorded missions per deployment = %v, want edge+8T and cloud+12T 3 each", perDeploy)
+	}
+}
+
 func TestDVFSOutput(t *testing.T) {
 	out := runQuick(t, "dvfs")
 	for _, want := range []string{"GHz", "edge+8T", "computerW"} {
@@ -276,13 +333,21 @@ func TestVisionOutput(t *testing.T) {
 }
 
 func TestVisionRealizedSpeedSaturates(t *testing.T) {
-	low, high, lossesHigh := VisionRealizedSpeeds()
-	// Commanding 4x the speed must not realize 4x: the blur limit caps it.
-	if high > 2*low {
-		t.Errorf("realized speed did not saturate: low=%.3f high=%.3f", low, high)
+	var low, high visionRow
+	for _, r := range vision(false) {
+		switch r.speed {
+		case 0.2:
+			low = r
+		case 0.8:
+			high = r
+		}
 	}
-	if lossesHigh < 5 {
-		t.Errorf("fast command should lose tracking repeatedly, got %v", lossesHigh)
+	// Commanding 4x the speed must not realize 4x: the blur limit caps it.
+	if high.realized > 2*low.realized {
+		t.Errorf("realized speed did not saturate: low=%.3f high=%.3f", low.realized, high.realized)
+	}
+	if high.losses < 5 {
+		t.Errorf("fast command should lose tracking repeatedly, got %v", high.losses)
 	}
 }
 
@@ -317,7 +382,11 @@ func TestAPSelOutput(t *testing.T) {
 }
 
 func TestAPSelControlGap(t *testing.T) {
-	baseCtrl, alg2Ctrl := APSelAvailability()
+	rows := apsel(true)
+	if rows[0].scenario != "1 WAP" || rows[1].scenario != "1 WAP" {
+		t.Fatalf("rows 0 and 1 are not the single-WAP walks: %+v", rows[:2])
+	}
+	baseCtrl, alg2Ctrl := rows[0].ctrl, rows[1].ctrl
 	// The §X claim: with one AP, the baseline loses control in the dead
 	// zone while Algorithm 2 retains it everywhere.
 	if alg2Ctrl < 0.99 {

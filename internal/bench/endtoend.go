@@ -7,78 +7,69 @@ import (
 	"lgvoffload/internal/core"
 	"lgvoffload/internal/energy"
 	"lgvoffload/internal/geom"
+	"lgvoffload/internal/netsim"
 	"lgvoffload/internal/world"
 )
 
-// RunFig12 regenerates Figure 12: the maximum velocity of the LGV over a
-// navigation mission under the five offloading deployments.
-func RunFig12(w io.Writer, quick bool) error {
-	hr(w, "Fig. 12 — maximum velocity (m/s) during navigation, per deployment")
-
-	type row struct {
-		name  string
-		avg   float64
-		trace []core.TracePoint
-		t     float64
-	}
-	var rows []row
+// fig12 runs the lab navigation mission under each of deployments(),
+// in that order, with the velocity trace recorded.
+func fig12(quick bool) ([]*core.Result, error) {
+	var out []*core.Result
 	for _, d := range deployments() {
 		cfg := labNav(d, quick)
 		cfg.RecordTrace = true
 		res, err := run(cfg)
 		if err != nil {
-			return err
+			return nil, err
 		}
-		rows = append(rows, row{name: d.Name, avg: res.AvgMaxVel, trace: res.Trace, t: res.TotalTime})
+		out = append(out, res)
 	}
+	return out, nil
+}
+
+// RunFig12 regenerates Figure 12: the maximum velocity of the LGV over a
+// navigation mission under the five offloading deployments.
+func RunFig12(w io.Writer, quick bool) error {
+	hr(w, "Fig. 12 — maximum velocity (m/s) during navigation, per deployment")
+	results, err := fig12(quick)
+	if err != nil {
+		return err
+	}
+	deps := deployments()
 
 	fmt.Fprintf(w, "%-10s %12s %12s\n", "deployment", "avg vmax", "mission(s)")
 	var local float64
-	for _, r := range rows {
-		fmt.Fprintf(w, "%-10s %12.3f %12.1f\n", r.name, r.avg, r.t)
-		if r.name == "local" {
-			local = r.avg
+	for i, r := range results {
+		fmt.Fprintf(w, "%-10s %12.3f %12.1f\n", deps[i].Name, r.AvgMaxVel, r.TotalTime)
+		if deps[i].Name == "local" {
+			local = r.AvgMaxVel
 		}
 	}
 	best := 0.0
-	for _, r := range rows {
-		if r.avg > best {
-			best = r.avg
+	for _, r := range results {
+		if r.AvgMaxVel > best {
+			best = r.AvgMaxVel
 		}
 	}
 	fmt.Fprintf(w, "\nbest offloaded vmax / local vmax = %.2fx (paper: 4–5x)\n", best/local)
 
 	// Velocity time series, downsampled, for the best deployment and local.
 	hr(w, "Fig. 12 — velocity trace samples (t, vmax)")
-	for _, r := range rows {
-		if r.name != "local" && r.avg != best {
+	for i, r := range results {
+		if deps[i].Name != "local" && r.AvgMaxVel != best {
 			continue
 		}
-		fmt.Fprintf(w, "%s:", r.name)
-		step := len(r.trace) / 12
+		fmt.Fprintf(w, "%s:", deps[i].Name)
+		step := len(r.Trace) / 12
 		if step < 1 {
 			step = 1
 		}
-		for i := 0; i < len(r.trace); i += step {
-			fmt.Fprintf(w, " (%.0fs, %.2f)", r.trace[i].T, r.trace[i].MaxVel)
+		for j := 0; j < len(r.Trace); j += step {
+			fmt.Fprintf(w, " (%.0fs, %.2f)", r.Trace[j].T, r.Trace[j].MaxVel)
 		}
 		fmt.Fprintln(w)
 	}
 	return nil
-}
-
-// Fig12AvgVmax runs the Fig. 12 sweep and returns deployment → average
-// maximum velocity, for tests.
-func Fig12AvgVmax(quick bool) (map[string]float64, error) {
-	out := make(map[string]float64)
-	for _, d := range deployments() {
-		res, err := run(labNav(d, quick))
-		if err != nil {
-			return nil, err
-		}
-		out[d.Name] = res.AvgMaxVel
-	}
-	return out, nil
 }
 
 // fig13Summary is one deployment's end-to-end outcome.
@@ -111,6 +102,26 @@ func runFig13Workload(wl core.Workload, quick bool) ([]fig13Summary, error) {
 	return out, nil
 }
 
+// fig13Best returns the local row and the successful rows with the least
+// total energy and the shortest mission time; the reductions Figure 13
+// headlines are local over best.
+func fig13Best(rows []fig13Summary) (local, bestTotal, bestTime fig13Summary) {
+	bestTotal.Total = 1e18
+	bestTime.Time = 1e18
+	for _, r := range rows {
+		if r.Name == "local" {
+			local = r
+		}
+		if r.Success && r.Total < bestTotal.Total {
+			bestTotal = r
+		}
+		if r.Success && r.Time < bestTime.Time {
+			bestTime = r
+		}
+	}
+	return local, bestTotal, bestTime
+}
+
 // RunFig13 regenerates Figure 13: total energy consumption by component
 // and mission completion time for both workloads across the five
 // deployments, with the reduction factors the paper headlines.
@@ -123,25 +134,14 @@ func RunFig13(w io.Writer, quick bool) error {
 		hr(w, fmt.Sprintf("Fig. 13 (%s) — energy (J) by component and mission time", wl))
 		fmt.Fprintf(w, "%-10s %5s %8s %8s %8s %8s %8s %9s %9s\n",
 			"deploy", "ok", "sensor", "motor", "micro", "computer", "wireless", "total(J)", "time(s)")
-		var local, bestTotal, bestTime fig13Summary
-		bestTotal.Total = 1e18
-		bestTime.Time = 1e18
 		for _, r := range rows {
 			fmt.Fprintf(w, "%-10s %5v %8.0f %8.0f %8.0f %8.0f %8.1f %9.0f %9.1f\n",
 				r.Name, r.Success,
 				r.Energy[energy.Sensor], r.Energy[energy.Motor],
 				r.Energy[energy.Microcontroller], r.Energy[energy.Computer],
 				r.Energy[energy.Wireless], r.Total, r.Time)
-			if r.Name == "local" {
-				local = r
-			}
-			if r.Success && r.Total < bestTotal.Total {
-				bestTotal = r
-			}
-			if r.Success && r.Time < bestTime.Time {
-				bestTime = r
-			}
 		}
+		local, bestTotal, bestTime := fig13Best(rows)
 		paperE, paperT := "1.61x", "2.53x"
 		if wl == core.ExplorationNoMap {
 			paperE, paperT = "2.12x", "1.60x"
@@ -156,29 +156,59 @@ func RunFig13(w io.Writer, quick bool) error {
 	return nil
 }
 
-// Fig13Reductions runs one workload and returns (energy, time) reduction
-// factors of the best deployment vs local, for tests.
-func Fig13Reductions(wl core.Workload, quick bool) (eRed, tRed float64, err error) {
-	rows, err := runFig13Workload(wl, quick)
-	if err != nil {
-		return 0, 0, err
+// fig14Course is the Fig. 14 mission without its velocity cap: the
+// obstacle course on the gateway at 8 threads. Quick mode drives a
+// straight 10 m room instead.
+func fig14Course(quick bool) core.MissionConfig {
+	cfg := core.MissionConfig{
+		Workload:   core.NavigationWithMap,
+		Map:        world.ObstacleCourseMap(),
+		Start:      geom.P(0.6, 3.0, 0),
+		Goal:       geom.V(13.5, 0.8), // beyond the right-turn wall
+		WAP:        geom.V(7, 3),
+		Deployment: core.DeployEdge(8),
+		Seed:       21,
+		MaxSimTime: 900,
 	}
-	var local fig13Summary
-	bestE, bestT := 1e18, 1e18
-	for _, r := range rows {
-		if r.Name == "local" {
-			local = r
-		}
-		if r.Success {
-			if r.Total < bestE {
-				bestE = r.Total
-			}
-			if r.Time < bestT {
-				bestT = r.Time
-			}
-		}
+	if quick {
+		cfg.Map = world.EmptyRoomMap(10, 4, 0.05)
+		cfg.Start = geom.P(0.8, 2, 0)
+		cfg.Goal = geom.V(9, 2)
 	}
-	return local.Total / bestE, local.Time / bestT, nil
+	return cfg
+}
+
+// fig14Policy is one velocity policy's traced Fig. 14 mission, with the
+// per-tick sums of the max-vs-real velocity gap and of the maximum.
+type fig14Policy struct {
+	name            string
+	res             *core.Result
+	gapSum, vmaxSum float64
+}
+
+// fig14 runs the course under the low-speed and the high-speed cap, in
+// that order.
+func fig14(quick bool) ([]fig14Policy, error) {
+	var out []fig14Policy
+	for _, p := range []struct {
+		name  string
+		vceil float64
+	}{{"low-speed", 0.18}, {"high-speed", 0.6}} {
+		cfg := fig14Course(quick)
+		cfg.VCeil = p.vceil
+		cfg.RecordTrace = true
+		res, err := run(cfg)
+		if err != nil {
+			return nil, err
+		}
+		pol := fig14Policy{name: p.name, res: res}
+		for _, tp := range res.Trace {
+			pol.gapSum += tp.MaxVel - tp.RealVel
+			pol.vmaxSum += tp.MaxVel
+		}
+		out = append(out, pol)
+	}
+	return out, nil
 }
 
 // RunFig14 regenerates Figure 14: the gap between the maximum velocity
@@ -186,47 +216,16 @@ func Fig13Reductions(wl core.Workload, quick bool) (eRed, tRed float64, err erro
 // obstacles, heading straight, turning), for a low and a high velocity
 // policy.
 func RunFig14(w io.Writer, quick bool) error {
-	course := world.ObstacleCourseMap()
-	start := geom.P(0.6, 3.0, 0)
-	goal := geom.V(13.5, 0.8) // beyond the right-turn wall
-	if quick {
-		course = world.EmptyRoomMap(8, 4, 0.05)
-		start = geom.P(0.8, 2, 0)
-		goal = geom.V(7, 2)
-	}
-
-	type policy struct {
-		name  string
-		vceil float64
-	}
-	policies := []policy{{"low-speed", 0.18}, {"high-speed", 0.6}}
-
 	hr(w, "Fig. 14 — maximum vs real velocity on the obstacle course")
+	policies, err := fig14(quick)
+	if err != nil {
+		return err
+	}
 	for _, p := range policies {
-		cfg := core.MissionConfig{
-			Workload:    core.NavigationWithMap,
-			Map:         course,
-			Start:       start,
-			Goal:        goal,
-			WAP:         geom.V(7, 3),
-			Deployment:  core.DeployEdge(8),
-			Seed:        21,
-			MaxSimTime:  900,
-			VCeil:       p.vceil,
-			RecordTrace: true,
-		}
-		res, err := run(cfg)
-		if err != nil {
-			return err
-		}
-		var gapSum, vmaxSum float64
-		for _, tp := range res.Trace {
-			gapSum += tp.MaxVel - tp.RealVel
-			vmaxSum += tp.MaxVel
-		}
+		res := p.res
 		n := float64(len(res.Trace))
 		fmt.Fprintf(w, "\npolicy %-10s: success=%v time=%.1fs avg vmax=%.3f avg gap=%.3f (gap/vmax=%.0f%%)\n",
-			p.name, res.Success, res.TotalTime, vmaxSum/n, gapSum/n, 100*gapSum/vmaxSum)
+			p.name, res.Success, res.TotalTime, p.vmaxSum/n, p.gapSum/n, 100*p.gapSum/p.vmaxSum)
 		fmt.Fprint(w, "trace (t, vmax, vreal):")
 		step := len(res.Trace) / 14
 		if step < 1 {
@@ -242,11 +241,9 @@ func RunFig14(w io.Writer, quick bool) error {
 	// parallelism-shedding controller on — fewer reserved core-seconds,
 	// similar completion time.
 	for _, shed := range []bool{false, true} {
-		cfg := core.MissionConfig{
-			Workload: core.NavigationWithMap, Map: course, Start: start, Goal: goal,
-			WAP: geom.V(7, 3), Deployment: core.DeployEdge(8), Seed: 21,
-			MaxSimTime: 900, VCeil: 0.6, ShedParallelism: shed,
-		}
+		cfg := fig14Course(quick)
+		cfg.VCeil = 0.6
+		cfg.ShedParallelism = shed
 		res, err := run(cfg)
 		if err != nil {
 			return err
@@ -264,46 +261,6 @@ func RunFig14(w io.Writer, quick bool) error {
 	fmt.Fprintln(w, "parallelism to the environment phase saves cloud resources without losing")
 	fmt.Fprintln(w, "real speed (the §VIII-E adaptivity analysis, run live above).")
 	return nil
-}
-
-// Fig14Gaps runs the two Fig. 14 policies and returns the relative
-// velocity gap (gap/vmax) of each, for tests.
-func Fig14Gaps(quick bool) (lowGap, highGap float64, err error) {
-	course := world.ObstacleCourseMap()
-	start := geom.P(0.6, 3.0, 0)
-	goal := geom.V(13.5, 0.8)
-	if quick {
-		course = world.EmptyRoomMap(10, 4, 0.05)
-		start = geom.P(0.8, 2, 0)
-		goal = geom.V(9, 2)
-	}
-	run := func(vceil float64) (float64, error) {
-		cfg := core.MissionConfig{
-			Workload: core.NavigationWithMap, Map: course, Start: start, Goal: goal,
-			WAP: geom.V(7, 3), Deployment: core.DeployEdge(8), Seed: 21,
-			MaxSimTime: 900, VCeil: vceil, RecordTrace: true,
-		}
-		res, err := run(cfg)
-		if err != nil {
-			return 0, err
-		}
-		var gap, vm float64
-		for _, tp := range res.Trace {
-			gap += tp.MaxVel - tp.RealVel
-			vm += tp.MaxVel
-		}
-		if vm == 0 {
-			return 0, fmt.Errorf("no trace")
-		}
-		return gap / vm, nil
-	}
-	if lowGap, err = run(0.18); err != nil {
-		return 0, 0, err
-	}
-	if highGap, err = run(0.6); err != nil {
-		return 0, 0, err
-	}
-	return lowGap, highGap, nil
 }
 
 // RunAlg1 runs the Algorithm 1 ablation: EC vs MCT goals under a good
@@ -330,13 +287,9 @@ func RunAlg1(w io.Writer, quick bool) error {
 				// A congested WAN: 300 ms each way makes the round trip
 				// exceed the on-board VDP makespan, so MCT must pull the
 				// T3 nodes home while EC keeps them remote for energy.
-				lc := cfg.LinkCfg
-				if lc == nil {
-					c := defaultCloudLinkAt(cfg.WAP)
-					lc = &c
-				}
+				lc := netsim.DefaultCloudLink(cfg.WAP)
 				lc.WANLatSec = 0.300
-				cfg.LinkCfg = lc
+				cfg.LinkCfg = &lc
 				name = "congested WAN"
 			}
 			res, err := run(cfg)

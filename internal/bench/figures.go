@@ -9,23 +9,21 @@ import (
 	"lgvoffload/internal/energy"
 	"lgvoffload/internal/geom"
 	"lgvoffload/internal/hostsim"
-	"lgvoffload/internal/trace"
 	"lgvoffload/internal/viz"
-	"lgvoffload/internal/world"
 )
 
 // WriteFigures renders the paper's figures as SVG files into dir:
 // fig9_<platform>.svg, fig10_<platform>.svg, fig11.svg, fig12.svg,
-// fig13_<workload>.svg, fig14.svg and lab_map.svg. Quick mode shrinks
-// the underlying sweeps.
+// lab_map.svg, fig13_<workload>.svg, fig14.svg, fleet.svg and
+// vision.svg. Each draws the data its experiment's report prints, so
+// quick mode shrinks them the same way.
 func WriteFigures(dir string, quick bool) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
 	steps := []func(string, bool) error{
 		writeFig9SVG, writeFig10SVG, writeFig11SVG,
-		writeFig12SVG, writeFig13SVG, writeFig14SVG, writeMapSVG,
-		writeExtensionSVGs,
+		writeFig12SVG, writeFig13SVG, writeFig14SVG, writeExtensionSVGs,
 	}
 	for _, f := range steps {
 		if err := f(dir, quick); err != nil {
@@ -60,24 +58,14 @@ func platformSlug(p hostsim.Platform) string {
 }
 
 func writeFig9SVG(dir string, quick bool) error {
-	particles := []int{10, 20, 30, 100}
-	entries := 60
-	if quick {
-		particles = []int{10, 30}
-		entries = 15
-	}
-	ds := trace.LabDataset(11, entries+5)
-	work := make(map[int]hostsim.Work, len(particles))
-	for _, m := range particles {
-		work[m] = ecnWorkPerUpdate(ds, m, entries)
-	}
+	d := fig9(quick)
 	for _, pt := range platformsUnderTest() {
 		var series []viz.Series
-		for _, m := range particles {
+		for i, m := range d.particles {
 			s := viz.Series{Name: fmt.Sprintf("M=%d", m)}
 			for _, th := range pt.Threads {
 				s.X = append(s.X, float64(th))
-				s.Y = append(s.Y, pt.P.ExecTime(work[m], th))
+				s.Y = append(s.Y, pt.P.ExecTime(d.work[i], th))
 			}
 			series = append(series, s)
 		}
@@ -96,28 +84,14 @@ func writeFig9SVG(dir string, quick bool) error {
 }
 
 func writeFig10SVG(dir string, quick bool) error {
-	samples := []int{200, 400, 1000, 2000}
-	entries := 40
-	if quick {
-		samples = []int{200, 1000}
-		entries = 10
-	}
-	ds := trace.LabDataset(12, entries+5)
-	type vdp struct{ cm, tk, mux hostsim.Work }
-	work := make(map[int]vdp, len(samples))
-	for _, s := range samples {
-		cm, tk, mux := vdpWorkPerTick(ds, s, entries)
-		work[s] = vdp{cm, tk, mux}
-	}
+	d := fig10(quick)
 	for _, pt := range platformsUnderTest() {
 		var series []viz.Series
-		for _, smp := range samples {
+		for i, smp := range d.samples {
 			s := viz.Series{Name: fmt.Sprintf("S=%d", smp)}
-			wk := work[smp]
 			for _, th := range pt.Threads {
-				t := pt.P.ExecTime(wk.cm, 1) + pt.P.ExecTime(wk.tk, th) + pt.P.ExecTime(wk.mux, 1)
 				s.X = append(s.X, float64(th))
-				s.Y = append(s.Y, t*1000)
+				s.Y = append(s.Y, d.work[i].time(pt.P, th)*1000)
 			}
 			series = append(series, s)
 		}
@@ -158,27 +132,37 @@ func writeFig11SVG(dir string, quick bool) error {
 	})
 }
 
+// writeFig12SVG draws fig12.svg and, from the edge+8T mission's trace,
+// the robot's path over the map in lab_map.svg.
 func writeFig12SVG(dir string, quick bool) error {
+	results, err := fig12(quick)
+	if err != nil {
+		return err
+	}
 	var series []viz.Series
-	for _, d := range deployments() {
-		cfg := labNav(d, quick)
-		cfg.RecordTrace = true
-		res, err := run(cfg)
-		if err != nil {
-			return err
-		}
+	var path []geom.Vec2
+	for i, d := range deployments() {
 		s := viz.Series{Name: d.Name}
-		for _, tp := range res.Trace {
+		for _, tp := range results[i].Trace {
 			s.X = append(s.X, tp.T)
 			s.Y = append(s.Y, tp.MaxVel)
+			if d.Name == "edge+8T" {
+				path = append(path, geom.V(tp.X, tp.Y))
+			}
 		}
 		series = append(series, s)
 	}
-	return create(dir, "fig12.svg", func(f *os.File) error {
+	err = create(dir, "fig12.svg", func(f *os.File) error {
 		return viz.LineChart(f, viz.ChartConfig{
 			Title:  "Fig. 12 — maximum velocity per deployment",
 			XLabel: "time (s)", YLabel: "max velocity (m/s)",
 		}, series)
+	})
+	if err != nil {
+		return err
+	}
+	return create(dir, "lab_map.svg", func(f *os.File) error {
+		return viz.MapSVG(f, labNav(core.DeployEdge(8), quick).Map, path)
 	})
 }
 
@@ -219,25 +203,14 @@ func writeFig13SVG(dir string, quick bool) error {
 }
 
 func writeFig14SVG(dir string, quick bool) error {
-	course := world.ObstacleCourseMap()
-	cfg := core.MissionConfig{
-		Workload: core.NavigationWithMap, Map: course,
-		Start: geom.P(0.6, 3.0, 0), Goal: geom.V(13.5, 0.8), WAP: geom.V(7, 3),
-		Deployment: core.DeployEdge(8), Seed: 21, MaxSimTime: 900,
-		VCeil: 0.6, RecordTrace: true,
-	}
-	if quick {
-		cfg.Map = world.EmptyRoomMap(8, 4, 0.05)
-		cfg.Start, cfg.Goal, cfg.WAP = geom.P(0.8, 2.0, 0), geom.V(7, 2), geom.V(4, 2)
-		cfg.MaxSimTime = 300
-	}
-	res, err := run(cfg)
+	policies, err := fig14(quick)
 	if err != nil {
 		return err
 	}
+	high := policies[1].res
 	vmax := viz.Series{Name: "maximum velocity"}
 	vreal := viz.Series{Name: "real velocity"}
-	for _, tp := range res.Trace {
+	for _, tp := range high.Trace {
 		vmax.X = append(vmax.X, tp.T)
 		vmax.Y = append(vmax.Y, tp.MaxVel)
 		vreal.X = append(vreal.X, tp.T)
@@ -251,65 +224,36 @@ func writeFig14SVG(dir string, quick bool) error {
 	})
 }
 
-func writeMapSVG(dir string, quick bool) error {
-	m := world.LabMap()
-	cfg := labNav(core.DeployEdge(8), quick)
-	cfg.RecordTrace = true
-	res, err := run(cfg)
-	if err != nil {
-		return err
-	}
-	pts := make([]geom.Vec2, 0, len(res.Trace))
-	for _, tp := range res.Trace {
-		pts = append(pts, geom.V(tp.X, tp.Y))
-	}
-	if quick {
-		m = cfg.Map
-	}
-	return create(dir, "lab_map.svg", func(f *os.File) error {
-		return viz.MapSVG(f, m, pts)
-	})
-}
-
 // writeExtensionSVGs renders the extension results: the fleet-scaling
 // crossover and the vision-speed saturation curves.
 func writeExtensionSVGs(dir string, quick bool) error {
-	// Fleet crossover.
-	sizes := []int{1, 2, 4, 8, 16}
-	if quick {
-		sizes = []int{1, 4, 16}
-	}
-	base := func(d core.Deployment) core.MissionConfig {
-		cfg := labNav(d, true)
-		cfg.MaxSimTime = 600
-		return cfg
-	}
-	edge, err := fleetSweep(base(core.DeployEdge(8)), sizes)
+	edge, cloud, err := fleetSweeps(quick)
 	if err != nil {
 		return err
 	}
-	cloud, err := fleetSweep(base(core.DeployCloud(12)), sizes)
-	if err != nil {
-		return err
+	var sizes, edgeT, cloudT []float64
+	for i := range edge {
+		sizes = append(sizes, float64(edge[i].FleetSize))
+		edgeT = append(edgeT, edge[i].Time)
+		cloudT = append(cloudT, cloud[i].Time)
 	}
 	err = create(dir, "fleet.svg", func(f *os.File) error {
 		return viz.LineChart(f, viz.ChartConfig{
 			Title:  "Fleet extension — per-robot mission time vs fleet size",
 			XLabel: "robots sharing the server", YLabel: "mission time (s)",
 		}, []viz.Series{
-			{Name: "edge gateway (4 cores)", X: toF(sizes), Y: edge},
-			{Name: "cloud server (24 cores)", X: toF(sizes), Y: cloud},
+			{Name: "edge gateway (4 cores)", X: sizes, Y: edgeT},
+			{Name: "cloud server (24 cores)", X: sizes, Y: cloudT},
 		})
 	})
 	if err != nil {
 		return err
 	}
 
-	// Vision saturation.
-	speeds := []float64{0.1, 0.2, 0.3, 0.4, 0.6, 0.8}
-	realized := make([]float64, len(speeds))
-	for i, s := range speeds {
-		realized[i] = visionRealized(s)
+	var speeds, realized []float64
+	for _, r := range vision(quick) {
+		speeds = append(speeds, r.speed)
+		realized = append(realized, r.realized)
 	}
 	return create(dir, "vision.svg", func(f *os.File) error {
 		return viz.LineChart(f, viz.ChartConfig{
@@ -320,12 +264,4 @@ func writeExtensionSVGs(dir string, quick bool) error {
 			{Name: "commanded (ideal)", X: speeds, Y: speeds},
 		})
 	})
-}
-
-func toF(xs []int) []float64 {
-	out := make([]float64, len(xs))
-	for i, x := range xs {
-		out[i] = float64(x)
-	}
-	return out
 }

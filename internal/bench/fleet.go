@@ -8,11 +8,9 @@ import (
 	"lgvoffload/internal/fleet"
 )
 
-// RunFleet runs the multi-robot extension: per-robot mission time and
-// velocity as k vehicles share the edge gateway vs the cloud server,
-// locating the fleet size where the manycore cloud overtakes the
-// high-frequency gateway.
-func RunFleet(w io.Writer, quick bool) error {
+// fleetSweeps runs the fleet extension: the small-room mission at each
+// fleet size, sharing the edge gateway and then the cloud server.
+func fleetSweeps(quick bool) (edge, cloud []fleet.Result, err error) {
 	sizes := []int{1, 2, 4, 8, 16, 32}
 	if quick {
 		sizes = []int{1, 4, 16}
@@ -22,11 +20,21 @@ func RunFleet(w io.Writer, quick bool) error {
 		cfg.MaxSimTime = 600
 		return cfg
 	}
-	edge, err := fleet.Sweep(base(core.DeployEdge(8)), sizes)
-	if err != nil {
-		return err
+	if edge, err = fleet.Sweep(base(core.DeployEdge(8)), sizes, run); err != nil {
+		return nil, nil, err
 	}
-	cloud, err := fleet.Sweep(base(core.DeployCloud(12)), sizes)
+	if cloud, err = fleet.Sweep(base(core.DeployCloud(12)), sizes, run); err != nil {
+		return nil, nil, err
+	}
+	return edge, cloud, nil
+}
+
+// RunFleet runs the multi-robot extension: per-robot mission time and
+// velocity as k vehicles share the edge gateway vs the cloud server,
+// locating the fleet size where the manycore cloud overtakes the
+// high-frequency gateway.
+func RunFleet(w io.Writer, quick bool) error {
+	edge, cloud, err := fleetSweeps(quick)
 	if err != nil {
 		return err
 	}
@@ -34,9 +42,9 @@ func RunFleet(w io.Writer, quick bool) error {
 	hr(w, "Fleet extension — per-robot mission time as k robots share one server")
 	fmt.Fprintf(w, "%6s %16s %16s %14s %14s\n",
 		"fleet", "edge time(s)", "cloud time(s)", "edge vmax", "cloud vmax")
-	for i := range sizes {
+	for i := range edge {
 		fmt.Fprintf(w, "%6d %13.1f %s %13.1f %s %14.3f %14.3f\n",
-			sizes[i],
+			edge[i].FleetSize,
 			edge[i].Time, okMark(edge[i].Success),
 			cloud[i].Time, okMark(cloud[i].Success),
 			edge[i].AvgVmax, cloud[i].AvgVmax)

@@ -11,9 +11,7 @@ import (
 	"lgvoffload/internal/world"
 )
 
-// fig11Walk drives the virtual LGV from point A (at the WAP) out to
-// point C in the unstable area and back, sending 5 Hz messages, and
-// returns the recorded time series.
+// fig11Row is one 5 Hz sample of the Fig. 11 walk.
 type fig11Row struct {
 	T         float64
 	Dist      float64 // robot-WAP distance
@@ -24,6 +22,9 @@ type fig11Row struct {
 	RemoteOK  bool // Algorithm 2's live decision
 }
 
+// fig11Walk drives the virtual LGV from point A (at the WAP) out to
+// point C in the unstable area and back, sending 5 Hz messages, and
+// returns the recorded time series.
 func fig11Walk(quick bool) []fig11Row {
 	link := netsim.NewLink(netsim.DefaultEdgeLink(geom.V(0, 0)), rand.New(rand.NewSource(3)))
 	bw := netsim.NewBandwidthMeter()
@@ -92,18 +93,7 @@ func RunFig11(w io.Writer, quick bool) error {
 			r.T, r.Dist, r.Signal, r.Bandwidth, lat, r.Direction, r.RemoteOK)
 	}
 
-	// Locate the switch points.
-	var offAt, onAt float64
-	prev := true
-	for _, r := range rows {
-		if prev && !r.RemoteOK && offAt == 0 {
-			offAt = r.T
-		}
-		if !prev && r.RemoteOK && offAt > 0 {
-			onAt = r.T
-		}
-		prev = r.RemoteOK
-	}
+	offAt, onAt := fig11SwitchTimes(rows)
 	fmt.Fprintf(w, "\nAlgorithm 2 switched LOCAL at t=%.1f s (outbound, bandwidth collapsed while receding)\n", offAt)
 	fmt.Fprintf(w, "Algorithm 2 switched REMOTE at t=%.1f s (inbound, bandwidth recovered while approaching)\n", onAt)
 	fmt.Fprintln(w, "Paper's reading: received-packet latency stays low until deep fade (best-effort")
@@ -111,9 +101,9 @@ func RunFig11(w io.Writer, quick bool) error {
 	return nil
 }
 
-// Fig11SwitchTimes exposes the two switch instants for tests.
-func Fig11SwitchTimes(quick bool) (offAt, onAt float64) {
-	rows := fig11Walk(quick)
+// fig11SwitchTimes returns when Algorithm 2 first switched to local and
+// when it first switched back to remote after that (0 = never).
+func fig11SwitchTimes(rows []fig11Row) (offAt, onAt float64) {
 	prev := true
 	for _, r := range rows {
 		if prev && !r.RemoteOK && offAt == 0 {

@@ -43,17 +43,36 @@ var paperTable2 = map[string]map[string]float64{
 	},
 }
 
-// RunTable2 reproduces Table II: run both workloads on the LGV placement
-// and report each node's cycles and share, next to the paper's shares.
+// table2 runs Table II's two workloads, with map and then without, on
+// the edge deployment so the lab missions finish. Placement does not
+// change a workload's cycle counts, which is the point of Table II.
+// Quick mode uses the small rooms.
+func table2(quick bool) (withMap, withoutMap *core.Result, err error) {
+	d := core.DeployEdge(8)
+	if withMap, err = run(labNav(d, quick)); err != nil {
+		return nil, nil, err
+	}
+	if withoutMap, err = run(labExplore(d, quick)); err != nil {
+		return nil, nil, err
+	}
+	return withMap, withoutMap, nil
+}
+
+// RunTable2 reproduces Table II: run both workloads and report each
+// node's cycles and share, next to the paper's shares.
 func RunTable2(w io.Writer, quick bool) error {
-	run := func(label string, cfg core.MissionConfig) error {
-		res, err := run(cfg)
-		if err != nil {
-			return err
-		}
-		hr(w, fmt.Sprintf("Table II (%s): cycle breakdown — %s, %.0f s mission", label,
+	withMap, withoutMap, err := table2(quick)
+	if err != nil {
+		return err
+	}
+	for _, t := range []struct {
+		label string
+		res   *core.Result
+	}{{"with map", withMap}, {"without map", withoutMap}} {
+		res := t.res
+		hr(w, fmt.Sprintf("Table II (%s): cycle breakdown — %s, %.0f s mission", t.label,
 			map[bool]string{true: "completed", false: res.Reason}[res.Success], res.TotalTime))
-		paper := paperTable2[label]
+		paper := paperTable2[t.label]
 		var paperTotal float64
 		for _, gc := range paper {
 			paperTotal += gc
@@ -72,30 +91,6 @@ func RunTable2(w io.Writer, quick bool) error {
 			fmt.Fprintf(w, "%-16s %14.3f %7.1f%% %13.1f%% %6s\n",
 				r.Node, r.Work.Total()/1e9, r.Share*100, paperShare*100, ecn)
 		}
-		return nil
 	}
-	// Table II's local measurement context: everything on the Pi. A quick
-	// run uses the small rooms; the full run uses the lab with the edge
-	// deployment so the missions finish (placement does not change the
-	// workload's cycle counts, which is the point of Table II).
-	d := core.DeployEdge(8)
-	if err := run("with map", labNav(d, quick)); err != nil {
-		return err
-	}
-	return run("without map", labExplore(d, quick))
-}
-
-// Table2Shares runs the with-map workload and returns each node's cycle
-// share — used by integration tests to assert the Table II shape.
-func Table2Shares(quick bool) (map[string]float64, error) {
-	res, err := run(labNav(core.DeployEdge(8), quick))
-	if err != nil {
-		return nil, err
-	}
-	total := res.Cycles.Total().Total()
-	out := make(map[string]float64)
-	for _, r := range res.Cycles.Breakdown() {
-		out[r.Node] = r.Work.Total() / total
-	}
-	return out, nil
+	return nil
 }

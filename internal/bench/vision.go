@@ -9,33 +9,31 @@ import (
 	"lgvoffload/internal/vo"
 )
 
-// RunVision runs the §IX vision-based-LGV extension. The robot cruises a
-// loop with turns; when feature tracking is lost it does what a real
-// vision stack does — slows to creep speed until relocalized, then
-// resumes. Sweeping the commanded cruise speed shows the paper's claim
-// quantitatively: above the blur limit, losses multiply and the
-// *realized* speed saturates, so commanding a vision-based LGV faster
-// buys nothing — the velocity cap must respect the sensing constraint,
-// not just Eq. 2c.
-func RunVision(w io.Writer, quick bool) error {
+// visionSeconds is the length of each §IX cruise.
+const visionSeconds = 120.0
+
+// visionRow is one commanded speed's §IX cruise.
+type visionRow struct {
+	speed    float64
+	losses   int
+	realized float64 // distance traveled over the cruise time, m/s
+	errDist  float64 // final position error, m
+	lostTime float64 // seconds spent relocalizing
+}
+
+// vision runs the §IX cruise once per commanded speed.
+func vision(quick bool) []visionRow {
 	speeds := []float64{0.1, 0.2, 0.3, 0.4, 0.6, 0.8}
 	if quick {
 		speeds = []float64{0.2, 0.6}
 	}
-	const seconds, dt, creep = 120.0, 0.1, 0.05
-
-	cfg := vo.DefaultConfig()
-	hr(w, "Vision-based LGV extension — tracking losses vs commanded speed (§IX)")
-	fmt.Fprintf(w, "blur limit: %.2f m/s equivalent flow (turns count %.1fx)\n\n",
-		cfg.BlurLimit, cfg.TurnWeight)
-	fmt.Fprintf(w, "%12s %10s %14s %12s %12s\n",
-		"cmd speed", "losses", "realized m/s", "err(m)", "lost time %")
-	var prevRealized float64
+	const dt, creep = 0.1, 0.05
+	var rows []visionRow
 	for _, speed := range speeds {
-		v := vo.New(cfg, rand.New(rand.NewSource(9)))
+		v := vo.New(vo.DefaultConfig(), rand.New(rand.NewSource(9)))
 		truth := geom.P(0, 0, 0)
 		lostTime := 0.0
-		for tt := 0.0; tt < seconds; tt += dt {
+		for tt := 0.0; tt < visionSeconds; tt += dt {
 			omega := 0.0
 			if int(tt/5)%4 == 3 {
 				omega = 0.5
@@ -51,46 +49,40 @@ func RunVision(w io.Writer, quick bool) error {
 			truth = next
 			v.Update(delta, cmd, omega, dt)
 		}
-		errDist := v.Estimate().Pos.Dist(geom.P(0, 0, 0).Delta(truth).Pos)
-		realized := v.Traveled() / seconds
-		fmt.Fprintf(w, "%12.2f %10d %14.3f %12.3f %11.0f%%\n",
-			speed, v.Losses(), realized, errDist, 100*lostTime/seconds)
-		prevRealized = realized
+		rows = append(rows, visionRow{
+			speed:    speed,
+			losses:   v.Losses(),
+			realized: v.Traveled() / visionSeconds,
+			errDist:  v.Estimate().Pos.Dist(geom.P(0, 0, 0).Delta(truth).Pos),
+			lostTime: lostTime,
+		})
 	}
-	_ = prevRealized
+	return rows
+}
+
+// RunVision runs the §IX vision-based-LGV extension. The robot cruises a
+// loop with turns; when feature tracking is lost it does what a real
+// vision stack does — slows to creep speed until relocalized, then
+// resumes. Sweeping the commanded cruise speed shows the paper's claim
+// quantitatively: above the blur limit, losses multiply and the
+// *realized* speed saturates, so commanding a vision-based LGV faster
+// buys nothing — the velocity cap must respect the sensing constraint,
+// not just Eq. 2c.
+func RunVision(w io.Writer, quick bool) error {
+	cfg := vo.DefaultConfig()
+	hr(w, "Vision-based LGV extension — tracking losses vs commanded speed (§IX)")
+	fmt.Fprintf(w, "blur limit: %.2f m/s equivalent flow (turns count %.1fx)\n\n",
+		cfg.BlurLimit, cfg.TurnWeight)
+	fmt.Fprintf(w, "%12s %10s %14s %12s %12s\n",
+		"cmd speed", "losses", "realized m/s", "err(m)", "lost time %")
+	for _, r := range vision(quick) {
+		fmt.Fprintf(w, "%12.2f %10d %14.3f %12.3f %11.0f%%\n",
+			r.speed, r.losses, r.realized, r.errDist, 100*r.lostTime/visionSeconds)
+	}
 	fmt.Fprintf(w, "\nsafe cruise speed while turning at 0.5 rad/s: %.2f m/s\n",
 		vo.New(cfg, rand.New(rand.NewSource(1))).SafeSpeed(0.5))
 	fmt.Fprintln(w, "Paper's reading (§IX): vision-based LGVs share the pipeline but must cap")
 	fmt.Fprintln(w, "velocity below the feature-tracking blur limit — commanding faster only")
 	fmt.Fprintln(w, "multiplies relocalization stops; the realized speed saturates.")
 	return nil
-}
-
-// VisionRealizedSpeeds returns (realized at low command, realized at high
-// command) for tests asserting the saturation shape.
-func VisionRealizedSpeeds() (low, high, lossesHigh float64) {
-	cfg := vo.DefaultConfig()
-	run := func(speed float64) (float64, int) {
-		const seconds, dt, creep = 120.0, 0.1, 0.05
-		v := vo.New(cfg, rand.New(rand.NewSource(9)))
-		truth := geom.P(0, 0, 0)
-		for tt := 0.0; tt < seconds; tt += dt {
-			omega := 0.0
-			if int(tt/5)%4 == 3 {
-				omega = 0.5
-			}
-			cmd := speed
-			if !v.Tracking() {
-				cmd = creep
-			}
-			next := geom.Twist{V: cmd, W: omega}.Integrate(truth, dt)
-			delta := truth.Delta(next)
-			truth = next
-			v.Update(delta, cmd, omega, dt)
-		}
-		return v.Traveled() / seconds, v.Losses()
-	}
-	l, _ := run(0.2)
-	h, n := run(0.8)
-	return l, h, float64(n)
 }

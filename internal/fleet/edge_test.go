@@ -87,11 +87,11 @@ func TestShareServerExactDivision(t *testing.T) {
 // regime.
 func TestSweepDeterministicPerSeed(t *testing.T) {
 	sizes := []int{1, 4, 9}
-	a, err := Sweep(baseMission(core.DeployEdge(8)), sizes)
+	a, err := Sweep(baseMission(core.DeployEdge(8)), sizes, core.Run)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Sweep(baseMission(core.DeployEdge(8)), sizes)
+	b, err := Sweep(baseMission(core.DeployEdge(8)), sizes, core.Run)
 	if err != nil {
 		t.Fatal(err)
 	}

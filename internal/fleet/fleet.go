@@ -48,30 +48,39 @@ type Result struct {
 	AvgVmax   float64
 }
 
-// Sweep runs the base mission at each fleet size, with the remote
-// server's per-robot share shrinking accordingly, and returns one row
-// per size. The base config's deployment selects the server and thread
-// count; threads are additionally capped by the per-robot core share.
-func Sweep(base core.MissionConfig, sizes []int) ([]Result, error) {
-	host := base.Deployment.Remote
+// Mission returns cfg as run by one of k robots that share its remote
+// server: the server's platform becomes its ShareServer view, and the
+// deployment's threads are capped at the per-robot core share. It fails
+// when the deployment has no remote host.
+func Mission(cfg core.MissionConfig, k int) (core.MissionConfig, error) {
+	host := cfg.Deployment.Remote
 	if host == "" {
-		return nil, fmt.Errorf("fleet: deployment has no remote host")
+		return cfg, fmt.Errorf("fleet: deployment has no remote host")
 	}
-	full := defaultPlatform(host)
+	shared := ShareServer(defaultPlatform(host), k)
+	cfg.Platforms = map[mw.HostID]hostsim.Platform{host: shared}
+	if cfg.Deployment.Threads > shared.Cores {
+		cfg.Deployment.Threads = shared.Cores
+	}
+	return cfg, nil
+}
+
+// Sweep runs the base mission through run (core.Run, or a wrapper that
+// also records it) at each fleet size, as configured by Mission, and
+// returns one row per size.
+func Sweep(base core.MissionConfig, sizes []int, run func(core.MissionConfig) (*core.Result, error)) ([]Result, error) {
 	var out []Result
 	for _, k := range sizes {
-		cfg := base
-		shared := ShareServer(full, k)
-		cfg.Platforms = map[mw.HostID]hostsim.Platform{host: shared}
-		if cfg.Deployment.Threads > shared.Cores {
-			cfg.Deployment.Threads = shared.Cores
+		cfg, err := Mission(base, k)
+		if err != nil {
+			return nil, err
 		}
-		res, err := core.Run(cfg)
+		res, err := run(cfg)
 		if err != nil {
 			return nil, fmt.Errorf("fleet size %d: %w", k, err)
 		}
 		out = append(out, Result{
-			FleetSize: k, Host: host, Success: res.Success,
+			FleetSize: k, Host: cfg.Deployment.Remote, Success: res.Success,
 			Time: res.TotalTime, Energy: res.TotalEnergy, AvgVmax: res.AvgMaxVel,
 		})
 	}

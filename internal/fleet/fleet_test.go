@@ -60,7 +60,7 @@ func baseMission(remote core.Deployment) core.MissionConfig {
 }
 
 func TestSweepDegradesWithFleetSize(t *testing.T) {
-	rows, err := Sweep(baseMission(core.DeployEdge(8)), []int{1, 4, 16})
+	rows, err := Sweep(baseMission(core.DeployEdge(8)), []int{1, 4, 16}, core.Run)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,11 +81,11 @@ func TestSweepDegradesWithFleetSize(t *testing.T) {
 
 func TestEdgeCloudCrossover(t *testing.T) {
 	sizes := []int{1, 2, 4, 8, 16}
-	edge, err := Sweep(baseMission(core.DeployEdge(8)), sizes)
+	edge, err := Sweep(baseMission(core.DeployEdge(8)), sizes, core.Run)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cloud, err := Sweep(baseMission(core.DeployCloud(12)), sizes)
+	cloud, err := Sweep(baseMission(core.DeployCloud(12)), sizes, core.Run)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +105,7 @@ func TestEdgeCloudCrossover(t *testing.T) {
 }
 
 func TestSweepRequiresRemote(t *testing.T) {
-	if _, err := Sweep(baseMission(core.DeployLocal()), []int{1}); err == nil {
+	if _, err := Sweep(baseMission(core.DeployLocal()), []int{1}, core.Run); err == nil {
 		t.Error("local deployment has no server to share")
 	}
 }

@@ -183,8 +183,7 @@ type Link struct {
 	buffered  float64 // packets currently held
 	lastDrain float64 // virtual time of last drain update
 
-	sent, dropped int
-	stats         Stats
+	stats Stats
 
 	sink   *obs.Telemetry // nil when telemetry is off (the default)
 	impair Impairment     // nil when no fault schedule is attached
@@ -329,7 +328,6 @@ func (l *Link) SendDir(now float64, size int, dir Dir) (arriveAt float64, droppe
 // can record queue and transport as distinct critical-path spans:
 // arriveAt - now = queueDelay + transport.
 func (l *Link) SendDirDetail(now float64, size int, dir Dir) (arriveAt float64, dropped bool, queueDelay float64) {
-	l.sent++
 	l.stats.Sent++
 	s := l.SignalAt(now)
 	corrupt := false
@@ -338,7 +336,6 @@ func (l *Link) SendDirDetail(now float64, size int, dir Dir) (arriveAt float64, 
 		if v.Drop {
 			// Blackholed before the radio: the packet vanishes without
 			// occupying the kernel buffer.
-			l.dropped++
 			l.stats.DroppedImpair++
 			l.sink.Count(obs.MLinkDropped, "", 1)
 			return 0, true, 0
@@ -363,7 +360,6 @@ func (l *Link) SendDirDetail(now float64, size int, dir Dir) (arriveAt float64, 
 	if s < l.cfg.BlockSignal {
 		// Driver holds packets: join the kernel buffer or overflow.
 		if l.buffered >= float64(l.cfg.KernelBuf) {
-			l.dropped++
 			l.stats.DroppedOverflow++
 			l.sink.Count(obs.MLinkDropped, "", 1)
 			return 0, true, 0 // silent discard: sender never learns
@@ -383,7 +379,6 @@ func (l *Link) SendDirDetail(now float64, size int, dir Dir) (arriveAt float64, 
 		}
 	}
 	if l.rng.Float64() < pLoss {
-		l.dropped++
 		l.stats.DroppedLoss++
 		l.sink.Count(obs.MLinkDropped, "", 1)
 		return 0, true, 0
@@ -392,7 +387,6 @@ func (l *Link) SendDirDetail(now float64, size int, dir Dir) (arriveAt float64, 
 	if corrupt {
 		// The frame crossed the air (it occupied buffer and spectrum)
 		// but the receiver's decoder rejects it: an effective loss.
-		l.dropped++
 		l.stats.DroppedCorrupt++
 		l.sink.Count(obs.MLinkDropped, "", 1)
 		return 0, true, 0
@@ -419,9 +413,6 @@ func (l *Link) SendDirDetail(now float64, size int, dir Dir) (arriveAt float64, 
 	l.stats.Delivered++
 	return now + lat, false, queueDelay
 }
-
-// Counters returns total packets offered and dropped since creation.
-func (l *Link) Counters() (sent, dropped int) { return l.sent, l.dropped }
 
 // Stats returns the full packet ledger with per-cause drop attribution.
 func (l *Link) Stats() Stats { return l.stats }

@@ -243,9 +243,9 @@ func TestCountersAndWANLatency(t *testing.T) {
 	if ca <= ea {
 		t.Errorf("cloud latency %v should exceed edge %v (WAN leg)", ca, ea)
 	}
-	sent, dropped := edge.Counters()
-	if sent != 1 || dropped != 0 {
-		t.Errorf("counters = %d, %d", sent, dropped)
+	st := edge.Stats()
+	if st.Sent != 1 || st.Dropped() != 0 {
+		t.Errorf("counters = %d, %d", st.Sent, st.Dropped())
 	}
 }
 

@@ -18,8 +18,6 @@ import (
 	"lgvoffload/internal/fleet"
 	"lgvoffload/internal/geom"
 	"lgvoffload/internal/grid"
-	"lgvoffload/internal/hostsim"
-	"lgvoffload/internal/mw"
 	"lgvoffload/internal/netsim"
 	"lgvoffload/internal/pool"
 	"lgvoffload/internal/world"
@@ -315,23 +313,9 @@ func (s Scenario) Mission() (core.MissionConfig, error) {
 		cfg.Faults = &fc
 	}
 	if s.Fleet > 1 {
-		host := dep.Remote
-		if host == "" {
+		if cfg, err = fleet.Mission(cfg, s.Fleet); err != nil {
 			return cfg, fmt.Errorf("simtest: fleet=%d requires a remote deployment", s.Fleet)
-		}
-		full := defaultPlatform(host)
-		shared := fleet.ShareServer(full, s.Fleet)
-		cfg.Platforms = map[mw.HostID]hostsim.Platform{host: shared}
-		if cfg.Deployment.Threads > shared.Cores {
-			cfg.Deployment.Threads = shared.Cores
 		}
 	}
 	return cfg, nil
-}
-
-func defaultPlatform(host mw.HostID) hostsim.Platform {
-	if host == core.HostCloud {
-		return hostsim.CloudServer()
-	}
-	return hostsim.EdgeGateway()
 }
