@@ -1,10 +1,8 @@
 package core
 
 import (
-	"encoding/json"
 	"math/rand"
 	"reflect"
-	"strings"
 	"testing"
 	"time"
 
@@ -118,56 +116,6 @@ func TestChaosDeterministicUnderFaults(t *testing.T) {
 	if a.TotalTime != b.TotalTime || a.WatchdogStops != b.WatchdogStops ||
 		a.Failovers != b.Failovers || a.FaultsInjected != b.FaultsInjected {
 		t.Errorf("result counters diverged: %+v vs %+v", a, b)
-	}
-}
-
-// TestChaosWatchdogDisabled: WatchdogDeadline < 0 must switch the safety
-// stop off without touching the failover path.
-func TestChaosWatchdogDisabled(t *testing.T) {
-	cfg := chaosNav(3)
-	cfg.WatchdogDeadline = -1
-	res, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.WatchdogStops != 0 {
-		t.Errorf("disabled watchdog still stopped %d times", res.WatchdogStops)
-	}
-	if res.Failovers < 1 {
-		t.Error("failover must still fire with the watchdog off")
-	}
-}
-
-// TestChaosFailoverDisabled: FailoverMisses < 0 must switch the failover
-// off and leave the miss counter untouched, so the recorded frames of a
-// blackout carry zero misses.
-func TestChaosFailoverDisabled(t *testing.T) {
-	cfg := chaosNav(3)
-	cfg.FailoverMisses = -1
-	cfg.MaxSimTime = 12 // end inside the outage window
-	cfg.FlightRec = obs.NewFlightRecorder(obs.FlightConfig{})
-	res, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Failovers != 0 {
-		t.Errorf("disabled failover still fired %d times", res.Failovers)
-	}
-	b := cfg.FlightRec.ForceDump("test", "", res.TotalTime)
-	if b == nil || b.Frames == 0 {
-		t.Fatal("no frames recorded")
-	}
-	lines := strings.Split(strings.TrimSpace(string(b.Data)), "\n")
-	for _, line := range lines[1:] {
-		var row struct {
-			Frame *obs.FlightFrame `json:"frame"`
-		}
-		if err := json.Unmarshal([]byte(line), &row); err != nil {
-			t.Fatal(err)
-		}
-		if row.Frame != nil && row.Frame.Misses != 0 {
-			t.Fatalf("frame t=%.1f counts %d misses with failover disabled", row.Frame.T, row.Frame.Misses)
-		}
 	}
 }
 

@@ -154,13 +154,6 @@ type MissionConfig struct {
 	// fault-injection schedule to the wireless link (see internal/faults).
 	Faults *faults.Config
 
-	// Graceful-degradation knobs (see SafetyController). Zero values take
-	// defaults; WatchdogDeadline < 0 disables the watchdog and
-	// FailoverMisses < 0 disables the failover path. The two hold-downs
-	// are the constants FailoverHoldSec and HandoffFreezeSec.
-	WatchdogDeadline float64 // base command-staleness deadline, s (default max(1.2, 6·ControlPeriod))
-	FailoverMisses   int     // consecutive missed remote ticks before pulling home (default 15)
-
 	// ShedParallelism enables the §VIII-E adaptivity controller: when the
 	// real velocity persistently falls short of the Eq. 2c cap (obstacle
 	// phases, Fig. 14), the engine halves the paid acceleration threads —
@@ -222,9 +215,9 @@ type MissionConfig struct {
 
 // Fixed mission parameters. The paper runs every mission on one testbed
 // with these values, so they are constants, not MissionConfig fields.
-// They are typed: 6*ControlPeriod must fold to the bits the run-time
-// float64 product gives (1.2000000000000002), where an untyped 0.2 would
-// fold exactly and land one ulp lower.
+// They are typed: WatchdogDeadline's 6*ControlPeriod must fold to the
+// bits the run-time float64 product gives (1.2000000000000002), where an
+// untyped 0.2 would fold exactly and land one ulp lower.
 const (
 	// ControlPeriod is the VDP tick period, s (5 Hz). Algorithm 2's probe
 	// heartbeat runs at the same rate.
@@ -252,6 +245,17 @@ const (
 	// for the 5 Hz probe.
 	NetThreshold float64 = 4
 
+	// WatchdogDeadline is the base command-staleness deadline, s. It is
+	// below the navigation source's mux timeout (≥ 1.5 s), so the safety
+	// stop preempts a stale command instead of merely coinciding with
+	// its expiry.
+	WatchdogDeadline float64 = max(1.2, 6*ControlPeriod)
+	// FailoverMisses is the count of consecutive missed remote ticks
+	// that pulls the nodes home: 15 ticks = 3 s at the 5 Hz
+	// ControlPeriod, long enough that a periodic interference burst (a
+	// couple of seconds) does not flap placement, short enough that a
+	// real outage fails over before the mission times out.
+	FailoverMisses int = 15
 	// FailoverHoldSec is the post-failover hold-down, s: remote execution
 	// stays vetoed this long after a failover.
 	FailoverHoldSec float64 = 20
@@ -281,19 +285,6 @@ func (c *MissionConfig) fillDefaults() {
 	}
 	if c.VCeil == 0 {
 		c.VCeil = 1.0
-	}
-	if c.WatchdogDeadline == 0 {
-		// Below the navigation source's mux timeout (≥ 1.5 s) so the
-		// safety stop preempts a stale command instead of merely
-		// coinciding with its expiry.
-		c.WatchdogDeadline = math.Max(1.2, 6*ControlPeriod)
-	}
-	if c.FailoverMisses == 0 {
-		// 15 ticks = 3 s at the 5 Hz ControlPeriod: long enough that a
-		// periodic interference burst (a couple of seconds) does not flap
-		// placement, short enough that a real outage fails over before
-		// the mission times out.
-		c.FailoverMisses = 15
 	}
 	if (c.WAP == geom.Vec2{}) {
 		c.WAP = c.Start.Pos
@@ -555,11 +546,7 @@ func newEngine(cfg MissionConfig) (*engine, error) {
 	// Bundles copy the events of their window from this mission's
 	// timeline.
 	cfg.FlightRec.Attach(cfg.Telemetry)
-	missLimit := cfg.FailoverMisses
-	if missLimit < 0 {
-		missLimit = 0 // sentinel: failover disabled
-	}
-	e.safety = NewSafetyController(cfg.WatchdogDeadline, missLimit)
+	e.safety = NewSafetyController(WatchdogDeadline, FailoverMisses)
 	if cfg.Faults != nil && !cfg.Faults.Empty() {
 		if err := cfg.Faults.Validate(); err != nil {
 			return nil, err

@@ -278,8 +278,8 @@ func TestMissionConfigValidation(t *testing.T) {
 	}
 }
 
-// TestDerivedDefaultBits pins the bits of the defaults derived from
-// ControlPeriod. The watchdog default must be the run-time float64
+// TestDerivedDefaultBits pins the bits of the values derived from
+// ControlPeriod. WatchdogDeadline must be the run-time float64
 // max(1.2, 6·0.2), which is 1.2000000000000002; an untyped ControlPeriod
 // would fold 6·0.2 exactly and give 1.2, one ulp lower, and no mission
 // digest notices.
@@ -291,9 +291,9 @@ func TestDerivedDefaultBits(t *testing.T) {
 	if want != 1.2000000000000002 {
 		t.Fatalf("run-time max(1.2, 6*0.2) = %v, want 1.2000000000000002", want)
 	}
-	if math.Float64bits(cfg.WatchdogDeadline) != math.Float64bits(want) {
-		t.Errorf("WatchdogDeadline default = %v (bits %#x), want %v (bits %#x)",
-			cfg.WatchdogDeadline, math.Float64bits(cfg.WatchdogDeadline), want, math.Float64bits(want))
+	if got := WatchdogDeadline; math.Float64bits(got) != math.Float64bits(want) {
+		t.Errorf("WatchdogDeadline = %v (bits %#x), want %v (bits %#x)",
+			got, math.Float64bits(got), want, math.Float64bits(want))
 	}
 	found := false
 	for _, src := range muxSources(cfg) {

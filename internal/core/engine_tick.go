@@ -629,7 +629,7 @@ func (e *engine) finishTick(now float64, localWork hostsim.Work, pipelineLat flo
 // limit is reached. It runs before finishTick's adapt pass so the pull
 // home is attributed to the failover path, not the Algorithm 2 gate.
 func (e *engine) noteMiss(now float64) {
-	if e.cfg.Deployment.Mode != Adaptive || e.cfg.FailoverMisses < 0 {
+	if e.cfg.Deployment.Mode != Adaptive {
 		return
 	}
 	e.safety.Miss()

@@ -75,18 +75,16 @@ func (m *Mission) Step() bool {
 	// stretches with the profiled makespan so a slow-but-alive local
 	// pipeline is not mistaken for a dead link.
 	stalledNow := false
-	if cfg.WatchdogDeadline >= 0 {
-		deadline := math.Max(cfg.WatchdogDeadline, 3*e.prof.VDP(e.placement).Total())
-		if stalled, first := e.safety.CheckStall(now, deadline); stalled {
-			stalledNow = true
-			e.mx.Offer(muxer.SourceSafety, geom.Twist{}, now)
-			if first {
-				e.tel.Watchdog(now, e.safety.Staleness(now))
-				e.flightDump("watchdog", "", now)
-				if !e.stallOpen {
-					e.stallOpen = true
-					e.stallStart = now
-				}
+	deadline := math.Max(WatchdogDeadline, 3*e.prof.VDP(e.placement).Total())
+	if stalled, first := e.safety.CheckStall(now, deadline); stalled {
+		stalledNow = true
+		e.mx.Offer(muxer.SourceSafety, geom.Twist{}, now)
+		if first {
+			e.tel.Watchdog(now, e.safety.Staleness(now))
+			e.flightDump("watchdog", "", now)
+			if !e.stallOpen {
+				e.stallOpen = true
+				e.stallStart = now
 			}
 		}
 	}

@@ -44,8 +44,8 @@ type SafetyController struct {
 
 // NewSafetyController builds a controller with a base watchdog deadline
 // (s) and a consecutive-miss failover limit (0 disables failover); the
-// engine takes both from MissionConfig after fillDefaults. The two
-// hold-downs are the constants FailoverHoldSec and HandoffFreezeSec.
+// engine passes the constants WatchdogDeadline and FailoverMisses. The
+// two hold-downs are the constants FailoverHoldSec and HandoffFreezeSec.
 func NewSafetyController(deadline float64, missLimit int) *SafetyController {
 	return &SafetyController{deadline: deadline, missLimit: missLimit}
 }

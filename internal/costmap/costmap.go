@@ -82,13 +82,11 @@ type Costmap struct {
 
 	inflation []kernelRow // inflation kernel, one row span per dy
 
-	// Neighbour dominance (see rebuild): leftRule and upRule say whether
-	// the kernel allows a source to skip the stamps its lethal left or
-	// previous-row neighbour covers; upFrom indexes the first kernel row
-	// with dy >= 0. sources is rebuild's source list, reused.
-	leftRule, upRule bool
-	upFrom           int
-	sources          []source
+	// upFrom indexes the first kernel row with dy >= 0, where a source
+	// whose previous-row cell is a source starts stamping (see rebuild).
+	// sources is rebuild's source list, reused.
+	upFrom  int
+	sources []source
 
 	// Footprint window: its radius in cells around the center cell, the
 	// squared robot radius and half a cell side. fpWin lists the
@@ -190,19 +188,16 @@ func (c *Costmap) buildFootprint() {
 // decaying outside (cost = 252·exp(-scale·(d - r_robot))). Offsets are
 // grouped into one row span per dy.
 //
-// It also checks, on the built uint8 costs K (0 outside the kernel),
-// the two orders rebuild's dominance rules need. The left rule needs
-// K(dx, dy) <= K(dx+1, dy) for every dx <= -1, the up rule
-// K(dx, dy) <= K(dx, dy+1) for every dy <= -1, and both need no cost of
-// UnknownCost: a stamp of 255 on an unknown cell counts without raising
-// it, and can take a cell back to unknown. A rule whose check fails is
-// off. With CostScale >= 0 no cost rises with distance, and both pass;
-// a negative CostScale can wrap the uint8 conversion into costs that
-// fail them.
+// A decayed cost is clamped to 252 and left out below 1 or when NaN, so
+// every CostScale, negative, infinite and NaN included, builds a defined
+// kernel in which no cost rises with distance and none is UnknownCost.
+// That gives the two orders on the costs K (0 outside the kernel) that
+// rebuild's dominance rules need: K(dx, dy) <= K(dx+1, dy) for every
+// dx <= -1, and K(dx, dy) <= K(dx, dy+1) for every dy <= -1. A cost of
+// UnknownCost would break both: its stamp on an unknown cell counts
+// without raising it, and can take a cell back to unknown.
 func (c *Costmap) buildKernel() {
 	r := int(math.Ceil(c.cfg.InflationRadius / c.cfg.Resolution))
-	c.leftRule, c.upRule = true, true
-	var prev []uint8 // row dy-1, over dx = -r..r
 	for dy := -r; dy <= r; dy++ {
 		costs := make([]uint8, 2*r+1)
 		half := -1
@@ -219,23 +214,14 @@ func (c *Costmap) buildKernel() {
 				cost = InscribedCost
 			default:
 				v := 252 * math.Exp(-c.cfg.CostScale*(d-c.cfg.RobotRadius))
-				if v < 1 {
+				if !(v >= 1) {
 					continue
 				}
-				cost = uint8(v)
+				cost = uint8(min(v, 252))
 			}
 			costs[dx+r] = cost
 			half = max(half, dx, -dx)
 		}
-		for k, cost := range costs {
-			if cost == UnknownCost || k < r && cost > costs[k+1] {
-				c.leftRule = false
-			}
-			if cost == UnknownCost || dy <= 0 && prev != nil && prev[k] > cost {
-				c.upRule = false
-			}
-		}
-		prev = costs
 		if dy < 0 && half >= 0 {
 			c.upFrom++
 		}
@@ -377,18 +363,18 @@ func (c *Costmap) clearBeam(a, b geom.Cell) int {
 // Sources go in raster order, so every cell receives its stamps in a
 // fixed order and the count of raising writes is deterministic. A stamp
 // writes a cell whose cost it exceeds, and an unknown cell only with
-// inscribed or lethal. When the kernel passes buildKernel's checks, a
-// source whose left neighbour is also a source skips its stamps at
-// dx <= -1. The neighbour stamped each of those cells earlier with a
-// cost no lower, and after that stamp the cell either holds at least
-// the skipped cost, or is still unknown and both costs are below
-// inscribed; so the skipped stamp would neither write nor count. A
-// source whose previous-row cell (x, y-1) is a source skips its kernel
-// rows dy <= -1 alike. Where the neighbour itself skipped such a cell,
-// an earlier source covered it with a cost no lower, and that chain
-// ends at a real stamp. The neighbour flags are read from the combined
-// grid before any stamp, so they say "is a source" whatever costs the
-// kernel holds.
+// inscribed or lethal. A source whose left neighbour is also a source
+// skips its stamps at dx <= -1. The neighbour stamped each of those
+// cells earlier with a cost no lower, and after that stamp the cell
+// either holds at least the skipped cost, or is still unknown and both
+// costs are below inscribed; so the skipped stamp would neither write
+// nor count. A source whose previous-row cell (x, y-1) is a source skips
+// its kernel rows dy <= -1 alike. Where the neighbour itself skipped
+// such a cell, an earlier source covered it with a cost no lower, and
+// that chain ends at a real stamp. Both rules rest on the kernel's
+// orders (see buildKernel). The neighbour flags are read from the
+// combined grid before any stamp, so they say "is a source" whatever
+// the stamps write.
 func (c *Costmap) rebuild() UpdateStats {
 	m := c.master
 	copy(m, c.static)
@@ -412,8 +398,8 @@ func (c *Costmap) rebuild() UpdateStats {
 			x += j
 			c.sources = append(c.sources, source{
 				x: int32(x), y: int32(y),
-				left: c.leftRule && x > 0 && row[x-1] == LethalCost,
-				up:   c.upRule && y > 0 && m[(y-1)*w+x] == LethalCost,
+				left: x > 0 && row[x-1] == LethalCost,
+				up:   y > 0 && m[(y-1)*w+x] == LethalCost,
 			})
 		}
 	}

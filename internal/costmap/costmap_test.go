@@ -1,6 +1,7 @@
 package costmap
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -229,6 +230,41 @@ func TestInflationKernelSymmetry(t *testing.T) {
 				if got != ref {
 					t.Fatalf("asymmetry at (%d,%d) vs (%d,%d): %d != %d",
 						dx, dy, p[0], p[1], got, ref)
+				}
+			}
+		}
+	}
+}
+
+// TestInflationKernelOrders asserts, for every CostScale including
+// negative, infinite and NaN ones, the kernel orders rebuild's
+// dominance rules rest on: no cost is UnknownCost, costs never fall
+// towards the center along a row (dx <= -1) or a column (dy <= -1).
+func TestInflationKernelOrders(t *testing.T) {
+	for _, geo := range []struct{ res, robot, inflation float64 }{
+		{0.05, 0.105, 0.45}, {0.1, 0.15, 0.3}, {0.03, 0.105, 0.4}, {0.05, 0.3, 0.2},
+	} {
+		for _, scale := range []float64{0, 8, -1, -3, -20, math.NaN(), math.Inf(-1), math.Inf(1)} {
+			cfg := DefaultConfig(8, 8, geo.res, geom.V(0, 0))
+			cfg.RobotRadius, cfg.InflationRadius, cfg.CostScale = geo.robot, geo.inflation, scale
+			c := New(cfg)
+			r := int(math.Ceil(cfg.InflationRadius / cfg.Resolution))
+			n := 2*r + 1
+			k := make([]uint8, n*n) // K(dx, dy) at (dy+r)*n + dx+r; 0 outside the kernel
+			for _, row := range c.inflation {
+				copy(k[(row.dy+r)*n+r-row.half:], row.costs)
+			}
+			for dy := -r; dy <= r; dy++ {
+				for dx := -r; dx <= r; dx++ {
+					cost := k[(dy+r)*n+dx+r]
+					switch {
+					case cost == UnknownCost:
+						t.Fatalf("%+v scale %v: K(%d, %d) = UnknownCost", geo, scale, dx, dy)
+					case dx <= -1 && cost > k[(dy+r)*n+dx+1+r]:
+						t.Fatalf("%+v scale %v: K(%d, %d) = %d > K(%d, %d) = %d", geo, scale, dx, dy, cost, dx+1, dy, k[(dy+r)*n+dx+1+r])
+					case dy <= -1 && cost > k[(dy+1+r)*n+dx+r]:
+						t.Fatalf("%+v scale %v: K(%d, %d) = %d > K(%d, %d) = %d", geo, scale, dx, dy, cost, dx, dy+1, k[(dy+1+r)*n+dx+r])
+					}
 				}
 			}
 		}

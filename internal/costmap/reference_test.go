@@ -65,10 +65,10 @@ func refKernel(cfg Config) ([]geom.Cell, []uint8) {
 				cost = InscribedCost
 			default:
 				v := 252 * math.Exp(-cfg.CostScale*(d-cfg.RobotRadius))
-				if v < 1 {
+				if !(v >= 1) {
 					continue
 				}
-				cost = uint8(v)
+				cost = uint8(min(v, 252))
 			}
 			offs = append(offs, geom.Cell{X: dx, Y: dy})
 			costs = append(costs, cost)

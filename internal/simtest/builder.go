@@ -38,7 +38,13 @@ func BuildScenarioMission(spec []byte) (core.MissionConfig, store.MissionStart, 
 	if err := json.Compact(compact, spec); err != nil {
 		return core.MissionConfig{}, store.MissionStart{}, fmt.Errorf("simtest: bad scenario spec: %w", err)
 	}
-	start := store.MissionStart{
+	return cfg, sc.missionStart(compact.Bytes()), nil
+}
+
+// missionStart is the scenario's store index row, with its JSON
+// encoding spec stamped in.
+func (sc Scenario) missionStart(spec []byte) store.MissionStart {
+	return store.MissionStart{
 		Label:      sc.Label(),
 		Seed:       sc.Seed,
 		Workload:   sc.Workload,
@@ -47,7 +53,6 @@ func BuildScenarioMission(spec []byte) (core.MissionConfig, store.MissionStart, 
 		Threads:    sc.Deploy.Threads,
 		FaultSpec:  sc.Faults,
 		MaxSimTime: sc.MaxSimTime,
-		Scenario:   json.RawMessage(compact.Bytes()),
+		Scenario:   spec,
 	}
-	return cfg, start, nil
 }

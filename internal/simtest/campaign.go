@@ -7,10 +7,12 @@ type CampaignOpts struct {
 	Seeds     int   // number of scenarios (default 50)
 	StartSeed int64 // first generator seed (campaign seed i = StartSeed + i)
 	// MatrixEvery runs the kernel thread×partition determinism sweep on
-	// every Nth scenario (0 = never; it costs 8 extra runs each).
+	// every campaign seed that is a multiple of N (0 = never; it costs 8
+	// extra runs each).
 	MatrixEvery int
 	// SchedEvery runs the sched-fair control-plane invariant on every
-	// Nth scenario (0 = never; it costs several extra runs each).
+	// campaign seed that is a multiple of N (0 = never; it costs 5 extra
+	// runs each).
 	SchedEvery int
 	// ReproDir, when non-empty, receives a shrunk JSON repro for every
 	// violation.
@@ -64,11 +66,7 @@ func Campaign(opts CampaignOpts) *CampaignStats {
 	for i := 0; i < opts.Seeds; i++ {
 		seed := opts.StartSeed + int64(i)
 		sc := Generate(seed)
-		eo := Options{
-			Matrix: opts.MatrixEvery > 0 && i%opts.MatrixEvery == 0,
-			Sched:  opts.SchedEvery > 0 && i%opts.SchedEvery == 0,
-		}
-		rep, err := evaluateWith(sc, library, eo)
+		rep, err := evaluateWith(sc, library, opts.sweeps(i))
 		stats.Seeds++
 		if err != nil {
 			stats.Errors = append(stats.Errors, fmt.Sprintf("seed %d (%s): %v", seed, sc.Label(), err))
@@ -119,13 +117,29 @@ func Campaign(opts CampaignOpts) *CampaignStats {
 	return stats
 }
 
+// sweeps selects the expensive sweeps for the campaign's i-th scenario
+// by its campaign seed StartSeed+i, not by i, so a range split into
+// shards (cmd/scenhunt) sweeps the same seeds as one campaign over the
+// whole range.
+func (opts CampaignOpts) sweeps(i int) Options {
+	seed := opts.StartSeed + int64(i)
+	every := func(n int) bool { return n > 0 && seed%int64(n) == 0 }
+	return Options{Matrix: every(opts.MatrixEvery), Sched: every(opts.SchedEvery)}
+}
+
 // evaluateWith is Evaluate generalized over an invariant library.
 func evaluateWith(sc Scenario, library []Invariant, opts Options) (*Report, error) {
 	o, err := RunScenario(sc)
 	if err != nil {
 		return nil, err
 	}
-	rep := &Report{Scenario: sc, Runs: 1}
+	// The shared rerun attaches what the checks that read it need;
+	// adversarial-replay skips a scenario that is not adversarial.
+	o.shared = withStore | withFlight
+	if sc.Adversarial {
+		o.shared |= fromJSON
+	}
+	rep := &Report{Scenario: sc}
 	for _, inv := range library {
 		if inv.Name == "matrix-determinism" && !opts.Matrix {
 			continue
@@ -137,15 +151,14 @@ func evaluateWith(sc Scenario, library []Invariant, opts Options) (*Report, erro
 		switch {
 		case err == nil:
 			rep.Checked = append(rep.Checked, inv.Name)
-			rep.Runs += inv.ExtraRuns
 		case isSkip(err):
 			rep.Skipped = append(rep.Skipped, inv.Name)
 		default:
 			rep.Checked = append(rep.Checked, inv.Name)
-			rep.Runs += inv.ExtraRuns
 			rep.Violations = append(rep.Violations, Violation{Invariant: inv.Name, Error: err.Error()})
 		}
 	}
+	rep.Runs = o.runs
 	return rep, nil
 }
 

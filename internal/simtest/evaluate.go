@@ -25,8 +25,9 @@ type Report struct {
 	Violations []Violation `json:"violations,omitempty"`
 	Checked    []string    `json:"checked"`
 	Skipped    []string    `json:"skipped,omitempty"`
-	// Runs counts full mission executions consumed (1 + extra runs of
-	// the expensive invariants that actually ran).
+	// Runs counts the mission runs the evaluation made: the primary, the
+	// shared rerun and any check's own rerun, and every baseline and
+	// variant a check ran.
 	Runs int `json:"runs"`
 }
 
@@ -40,16 +41,17 @@ func Evaluate(sc Scenario, opts Options) (*Report, error) {
 
 func isSkip(err error) bool { return errors.Is(err, ErrSkip) }
 
-// violates re-runs a single invariant against a (candidate) scenario;
-// the shrinker uses it to test whether a reduction preserves the
-// failure. Scenarios the engine rejects do not violate.
-func violates(sc Scenario, inv Invariant) (string, bool) {
+// violates re-runs a single invariant against a (candidate) scenario
+// and returns its failure and the mission runs it made; the shrinker
+// uses it to test whether a reduction preserves the failure. Scenarios
+// the engine rejects do not violate.
+func violates(sc Scenario, inv Invariant) (string, bool, int) {
 	o, err := RunScenario(sc)
 	if err != nil {
-		return "", false
+		return "", false, 0
 	}
 	if err := inv.Check(o); err != nil && !errors.Is(err, ErrSkip) {
-		return err.Error(), true
+		return err.Error(), true, o.runs
 	}
-	return "", false
+	return "", false, o.runs
 }

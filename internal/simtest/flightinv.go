@@ -3,6 +3,7 @@ package simtest
 import (
 	"bufio"
 	"bytes"
+	"cmp"
 	"encoding/json"
 	"fmt"
 
@@ -11,12 +12,13 @@ import (
 
 // checkFlightBundle is the black-box invariant: attaching telemetry, the
 // flight recorder and the SLO engine must be non-invasive (the observed
-// re-run is byte-identical to the bare primary), a forced breach must
+// rerun is byte-identical to the bare primary), a forced breach must
 // freeze a structurally valid bundle that contains the breach tick
 // itself and the timeline events of its window, and the whole capture
-// must be deterministic — a second observed run produces the
-// byte-identical bundle, frames and events alike. Costs two extra full
-// runs.
+// must be deterministic — a second run with the same observers produces
+// the byte-identical bundle, frames and events alike. It reads the
+// bundle of the scenario's shared rerun (see rerun.go), and makes the
+// second run itself.
 //
 // The forced rule is energy_rate<=0@10s: idle power accrues every
 // physics step on every mission (local or offloaded), so the windowed
@@ -26,43 +28,27 @@ import (
 const flightForcedRule = "energy_rate<=0@10s"
 
 func checkFlightBundle(o *Outcome) error {
-	rules, err := obs.ParseSLORules(flightForcedRule)
-	if err != nil {
-		return fmt.Errorf("forced rule: %w", err)
-	}
-	observed := func() (*Outcome, *obs.FlightRecorder, *obs.SLOEngine, error) {
-		// Near-zero dump spacing and a high dump cap so an early watchdog
-		// or failover dump can never rate-limit the breach dump away.
-		fr := obs.NewFlightRecorder(obs.FlightConfig{MinSpacing: 1e-9, MaxDumps: 1024})
-		slo := obs.NewSLOEngine(rules)
-		o2, err := RunScenarioObserved(o.Scenario, fr, slo)
-		return o2, fr, slo, err
+	r := o.rerunFor(withFlight)
+	if err := r.check(o, "observed re-run errored", "flight recorder/SLO perturbed the mission"); err != nil {
+		return err
 	}
 
-	o1, fr1, slo1, err := observed()
-	if err != nil {
-		return fmt.Errorf("observed re-run errored: %w", err)
-	}
-	if !bytes.Equal(o.Canon, o1.Canon) {
-		return fmt.Errorf("flight recorder/SLO perturbed the mission: %s", firstDiff(o.Canon, o1.Canon))
-	}
-
-	breaches := slo1.Breaches()
+	breaches := r.slo.Breaches()
 	if len(breaches) == 0 {
 		// The rule arms after the engine warmup plus the sustain count; a
 		// mission that ends before then legitimately never breaches.
-		if o1.Res.TotalTime < 10 {
+		if r.out.Res.TotalTime < 10 {
 			return ErrSkip
 		}
 		return fmt.Errorf("mission ran %.1fs but the always-breaching rule %q never opened",
-			o1.Res.TotalTime, flightForcedRule)
+			r.out.Res.TotalTime, flightForcedRule)
 	}
 	breach := breaches[0]
 
-	b1 := bundleByReason(fr1, "slo:"+obs.SLOEnergyRate)
+	b1 := bundleByReason(r.fr, "slo:"+obs.SLOEnergyRate)
 	if b1 == nil {
 		return fmt.Errorf("breach at t=%.3f produced no slo:%s bundle (%d bundles total)",
-			breach.T, obs.SLOEnergyRate, len(fr1.Bundles()))
+			breach.T, obs.SLOEnergyRate, len(r.fr.Bundles()))
 	}
 	if _, err := obs.VerifyFlightBundle(b1.Data); err != nil {
 		return fmt.Errorf("bundle fails verification: %w", err)
@@ -82,11 +68,11 @@ func checkFlightBundle(o *Outcome) error {
 
 	// Determinism: the identical observed run must freeze the identical
 	// bytes. No wall time, no map order, no rng may leak into a bundle.
-	_, fr2, _, err := observed()
-	if err != nil {
+	r2 := o.rerun(r.set | again)
+	if err := cmp.Or(r2.setupErr, r2.runErr); err != nil {
 		return fmt.Errorf("second observed run errored: %w", err)
 	}
-	b2 := bundleByReason(fr2, "slo:"+obs.SLOEnergyRate)
+	b2 := bundleByReason(r2.fr, "slo:"+obs.SLOEnergyRate)
 	if b2 == nil {
 		return fmt.Errorf("second run produced no slo:%s bundle", obs.SLOEnergyRate)
 	}

@@ -2,7 +2,6 @@ package simtest
 
 import (
 	"bytes"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
@@ -24,11 +23,8 @@ type Invariant struct {
 	Name string
 	// Desc is the one-line statement of the property, referencing the
 	// paper equation/algorithm it encodes.
-	Desc string
-	// ExtraRuns is how many additional full mission runs the check
-	// costs (baselines, replays, the kernel matrix).
-	ExtraRuns int
-	Check     func(o *Outcome) error
+	Desc  string
+	Check func(o *Outcome) error
 }
 
 // Invariants returns the full library in evaluation order: cheap
@@ -71,46 +67,39 @@ func Invariants() []Invariant {
 			Check: checkLinkAccounting,
 		},
 		{
-			Name:      "ec-dominance",
-			Desc:      "Algorithm 1 goal-EC never consumes more energy than all-local (no-fault, high-bandwidth)",
-			ExtraRuns: 1,
-			Check:     checkECDominance,
+			Name:  "ec-dominance",
+			Desc:  "Algorithm 1 goal-EC never consumes more energy than all-local (no-fault, high-bandwidth)",
+			Check: checkECDominance,
 		},
 		{
-			Name:      "store-roundtrip",
-			Desc:      "a recorded mission is bit-identical to an unrecorded one, and its stored records replay to the identical summary",
-			ExtraRuns: 1,
-			Check:     checkStoreRoundTrip,
+			Name:  "store-roundtrip",
+			Desc:  "a recorded mission is bit-identical to an unrecorded one, and its stored records replay to the identical summary",
+			Check: checkStoreRoundTrip,
 		},
 		{
-			Name:      "replay-determinism",
-			Desc:      "identical seeds yield byte-identical Results across repeated runs",
-			ExtraRuns: 1,
-			Check:     checkReplay,
+			Name:  "replay-determinism",
+			Desc:  "identical seeds yield byte-identical Results across repeated runs",
+			Check: checkReplay,
 		},
 		{
-			Name:      "adversarial-replay",
-			Desc:      "an adversarially-found fault schedule survives a JSON round trip and replays bit-identically",
-			ExtraRuns: 1,
-			Check:     checkAdversarialReplay,
+			Name:  "adversarial-replay",
+			Desc:  "an adversarially-found fault schedule survives a JSON round trip and replays bit-identically",
+			Check: checkAdversarialReplay,
 		},
 		{
-			Name:      "flight-bundle",
-			Desc:      "a breach-triggered flight bundle is non-invasive, contains the breach tick, and replays byte-identically",
-			ExtraRuns: 2,
-			Check:     checkFlightBundle,
+			Name:  "flight-bundle",
+			Desc:  "a breach-triggered flight bundle is non-invasive, contains the breach tick, and replays byte-identically",
+			Check: checkFlightBundle,
 		},
 		{
-			Name:      "matrix-determinism",
-			Desc:      "Results are byte-identical across kernel threads {1,2,4,8} × {block,interleaved}",
-			ExtraRuns: 8,
-			Check:     checkMatrix,
+			Name:  "matrix-determinism",
+			Desc:  "Results are byte-identical across kernel threads {1,2,4,8} × {block,interleaved}",
+			Check: checkMatrix,
 		},
 		{
-			Name:      "sched-fair",
-			Desc:      "the serve scheduler starves no mission and multiplexed results are byte-identical to solo runs",
-			ExtraRuns: 5,
-			Check:     checkSchedFair,
+			Name:  "sched-fair",
+			Desc:  "the serve scheduler starves no mission and multiplexed results are byte-identical to solo runs",
+			Check: checkSchedFair,
 		},
 	}
 }
@@ -255,22 +244,7 @@ func checkAdversarialReplay(o *Outcome) error {
 	// The full scenario must survive a JSON round trip and replay to the
 	// byte-identical canonical result — this is what makes an emitted
 	// worst-case schedule a usable repro.
-	data, err := json.Marshal(o.Scenario)
-	if err != nil {
-		return fmt.Errorf("scenario marshal: %w", err)
-	}
-	var sc2 Scenario
-	if err := json.Unmarshal(data, &sc2); err != nil {
-		return fmt.Errorf("scenario unmarshal: %w", err)
-	}
-	o2, err := RunScenario(sc2)
-	if err != nil {
-		return fmt.Errorf("adversarial replay errored: %w", err)
-	}
-	if !bytes.Equal(o.Canon, o2.Canon) {
-		return fmt.Errorf("adversarial replay diverged: %s", firstDiff(o.Canon, o2.Canon))
-	}
-	return nil
+	return o.rerunFor(fromJSON).check(o, "adversarial replay errored", "adversarial replay diverged")
 }
 
 func sortWindows(ws []faults.Window) {
@@ -320,7 +294,7 @@ func checkECDominance(o *Outcome) error {
 	base.Fleet = 1
 	base.KernelThreads = 0
 	base.KernelPartition = ""
-	bo, err := RunScenario(base)
+	bo, err := o.run(base, runOpts{})
 	if err != nil || !bo.Res.Success {
 		return ErrSkip // all-local cannot complete this mission: nothing to dominate
 	}
@@ -335,14 +309,7 @@ func checkECDominance(o *Outcome) error {
 }
 
 func checkReplay(o *Outcome) error {
-	o2, err := RunScenario(o.Scenario)
-	if err != nil {
-		return fmt.Errorf("replay errored: %w", err)
-	}
-	if !bytes.Equal(o.Canon, o2.Canon) {
-		return fmt.Errorf("replay diverged: %s", firstDiff(o.Canon, o2.Canon))
-	}
-	return nil
+	return o.rerunFor(0).check(o, "replay errored", "replay diverged")
 }
 
 func checkMatrix(o *Outcome) error {
@@ -354,7 +321,7 @@ func checkMatrix(o *Outcome) error {
 			if sc.KernelThreads == o.Scenario.KernelThreads && sc.KernelPartition == o.Scenario.KernelPartition {
 				continue // that's the primary run itself
 			}
-			mo, err := RunScenario(sc)
+			mo, err := o.run(sc, runOpts{})
 			if err != nil {
 				return fmt.Errorf("threads=%d/%s errored: %w", threads, part, err)
 			}

@@ -40,17 +40,24 @@ type Outcome struct {
 	// CmdViolations lists any that were not.
 	StalledSamples int
 	CmdViolations  []CmdViolation
+
+	// runs counts the mission runs made for this outcome: its own, and
+	// every rerun, baseline and variant its checks ran (see run).
+	runs int
+	// shared is what the scenario's shared rerun attaches, and reruns
+	// memoizes the reruns by observer set (see rerun.go).
+	shared observers
+	reruns [again << 1]*rerun
 }
 
 // RunScenario executes the scenario headlessly with tracing and the
 // safety command tap attached.
-func RunScenario(sc Scenario) (*Outcome, error) { return runScenario(sc, nil) }
+func RunScenario(sc Scenario) (*Outcome, error) { return runScenarioOpts(sc, runOpts{}) }
 
 // RunScenarioObserved is RunScenario with a flight recorder and/or SLO
 // engine attached, plus a Telemetry whose timeline the recorder's
-// bundles copy their events from — the instrumented rerun behind the
-// flight-bundle invariant and advhunt's worst-case capture. Both may be
-// nil.
+// bundles copy their events from — advhunt's worst-case capture. Both
+// may be nil.
 func RunScenarioObserved(sc Scenario, fr *obs.FlightRecorder, slo *obs.SLOEngine) (*Outcome, error) {
 	return runScenarioOpts(sc, runOpts{tel: obs.NewTelemetry(0), fr: fr, slo: slo})
 }
@@ -64,27 +71,17 @@ type runOpts struct {
 	slo *obs.SLOEngine
 }
 
-// runScenario is RunScenario with an optional mission recorder attached
-// (the store-roundtrip invariant uses it to prove recording is
-// non-invasive). The caller owns rec: Finish/Abandon it afterwards.
-func runScenario(sc Scenario, rec *store.Recorder) (*Outcome, error) {
-	return runScenarioOpts(sc, runOpts{rec: rec})
-}
-
 func runScenarioOpts(sc Scenario, opts runOpts) (*Outcome, error) {
-	cfg, err := sc.Mission()
+	cfg, err := tracedMission(sc)
 	if err != nil {
 		return nil, err
 	}
-	tracer := missionTracer(cfg)
-	cfg.Tracer = tracer
-	cfg.RecordTrace = true
 	cfg.Store = opts.rec
 	cfg.Telemetry = opts.tel
 	cfg.FlightRec = opts.fr
 	cfg.SLO = opts.slo
 
-	out := &Outcome{Scenario: sc}
+	out := &Outcome{Scenario: sc, runs: 1}
 	cfg.CmdTap = func(now float64, cmd geom.Twist, stalled bool) {
 		if !stalled {
 			return
@@ -103,9 +100,32 @@ func runScenarioOpts(sc Scenario, opts runOpts) (*Outcome, error) {
 	}
 	out.Res = res
 	out.Canon = Canonical(res)
-	out.Spans = tracer.Spans()
-	out.SpansDropped = tracer.Dropped()
+	out.Spans = cfg.Tracer.Spans()
+	out.SpansDropped = cfg.Tracer.Dropped()
 	return out, nil
+}
+
+// run runs sc with opts attached on o's behalf, and counts the run in
+// o.runs when the mission completes.
+func (o *Outcome) run(sc Scenario, opts runOpts) (*Outcome, error) {
+	r, err := runScenarioOpts(sc, opts)
+	if err == nil {
+		o.runs++
+	}
+	return r, err
+}
+
+// tracedMission builds the scenario's config with the observability
+// shape every simtest run uses (tracer attached, trace recorded), so
+// the Canonical bytes of any two runs are comparable.
+func tracedMission(sc Scenario) (core.MissionConfig, error) {
+	c, err := sc.Mission()
+	if err != nil {
+		return c, err
+	}
+	c.Tracer = missionTracer(c)
+	c.RecordTrace = true
+	return c, nil
 }
 
 // missionTracer sizes a span ring for the whole mission: ~16 spans per

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"time"
 
-	"lgvoffload/internal/core"
 	"lgvoffload/internal/serve"
 	"lgvoffload/internal/store"
 )
@@ -39,19 +38,6 @@ func schedVariant(sc Scenario, i int) Scenario {
 	return sc
 }
 
-// schedMission builds the variant's config with the same observability
-// shape RunScenario uses (tracer attached, trace recorded), so its
-// Canonical bytes are comparable to a solo run's.
-func schedMission(sc Scenario) (core.MissionConfig, error) {
-	c, err := sc.Mission()
-	if err != nil {
-		return c, err
-	}
-	c.Tracer = missionTracer(c)
-	c.RecordTrace = true
-	return c, nil
-}
-
 func checkSchedFair(o *Outcome) error {
 	scs := make([]Scenario, schedFairK)
 	for i := range scs {
@@ -63,7 +49,7 @@ func checkSchedFair(o *Outcome) error {
 	solo := make([][]byte, schedFairK)
 	solo[0] = o.Canon
 	for i := 1; i < schedFairK; i++ {
-		so, err := RunScenario(scs[i])
+		so, err := o.run(scs[i], runOpts{})
 		if err != nil {
 			return fmt.Errorf("solo variant %d: %w", i, err)
 		}
@@ -85,7 +71,7 @@ func checkSchedFair(o *Outcome) error {
 
 	ids := make([]string, schedFairK)
 	for i, sc := range scs {
-		cfg, err := schedMission(sc)
+		cfg, err := tracedMission(sc)
 		if err != nil {
 			return fmt.Errorf("variant %d config: %w", i, err)
 		}
@@ -105,6 +91,7 @@ func checkSchedFair(o *Outcome) error {
 			st, _ := s.Status(id)
 			return fmt.Errorf("mission %d (%s) ended %s (%s), want done", i, id, state, st.Reason)
 		}
+		o.runs++
 	}
 
 	// (a) FIFO dispatch: missions leave the queue in admission order.

@@ -14,7 +14,7 @@ type ShrinkResult struct {
 }
 
 // Shrink greedily minimizes a scenario that violates inv, spending at
-// most budget invariant re-checks. Each pass proposes reductions from
+// most budget mission runs. Each pass proposes reductions from
 // most to least aggressive — drop the whole fault schedule, bisect it,
 // drop single windows, truncate the mission, collapse the fleet, drop
 // waypoints, shrink pipeline sizes — and keeps any candidate that
@@ -23,8 +23,8 @@ func Shrink(sc Scenario, inv Invariant, budget int) ShrinkResult {
 	if budget <= 0 {
 		budget = 48
 	}
-	curErr, ok := violates(sc, inv)
-	res := ShrinkResult{Scenario: sc, Error: curErr, Runs: 1 + inv.ExtraRuns}
+	curErr, ok, runs := violates(sc, inv)
+	res := ShrinkResult{Scenario: sc, Error: curErr, Runs: runs}
 	if !ok {
 		return res // not actually violating; nothing to do
 	}
@@ -34,8 +34,9 @@ func Shrink(sc Scenario, inv Invariant, budget int) ShrinkResult {
 			if res.Runs >= budget {
 				return res
 			}
-			res.Runs += 1 + inv.ExtraRuns
-			if msg, still := violates(cand, inv); still {
+			msg, still, runs := violates(cand, inv)
+			res.Runs += runs
+			if still {
 				res.Scenario = cand
 				res.Error = msg
 				res.Steps++

@@ -2,6 +2,7 @@ package simtest
 
 import (
 	"bytes"
+	"cmp"
 	"fmt"
 	"reflect"
 	"strings"
@@ -190,9 +191,12 @@ func TestInvertedInvariantIsCaughtAndShrunk(t *testing.T) {
 	sc.Waypoints = [][2]float64{{3, 2}}
 	sc.Fleet = 2
 
-	msg, caught := violates(sc, inverted)
+	msg, caught, runs := violates(sc, inverted)
 	if !caught {
 		t.Fatalf("inverted invariant was not caught")
+	}
+	if runs != 1 {
+		t.Fatalf("a check that reruns nothing cost %d runs, want 1", runs)
 	}
 	if !strings.Contains(msg, "inverted") {
 		t.Fatalf("unexpected violation message: %s", msg)
@@ -256,8 +260,103 @@ func TestCampaignSmoke(t *testing.T) {
 	for _, e := range stats.Errors {
 		t.Errorf("campaign error: %s", e)
 	}
-	if stats.Runs < 3 {
-		t.Fatalf("campaign consumed %d runs, want >= 3", stats.Runs)
+	// Per seed: the primary, the shared rerun and flight-bundle's second
+	// observed run; seed 1002 adds ec-dominance's all-local baseline.
+	if stats.Runs != 10 {
+		t.Fatalf("campaign counted %d runs, want 3 + 3 + 4 = 10", stats.Runs)
+	}
+}
+
+// TestSweepsSelectByCampaignSeed: splitting a seed range into shards,
+// as cmd/scenhunt does, sweeps the same campaign seeds as one campaign
+// over the range, and a one-seed re-hunt sweeps only where the seed
+// itself is selected.
+func TestSweepsSelectByCampaignSeed(t *testing.T) {
+	const seeds = 50
+	swept := func(shards int) (matrix, sched []int64) {
+		per := (seeds + shards - 1) / shards
+		for lo := 0; lo < seeds; lo += per {
+			shard := CampaignOpts{StartSeed: int64(lo), MatrixEvery: 25, SchedEvery: 10}
+			for i := 0; i < per && lo+i < seeds; i++ {
+				seed, o := shard.StartSeed+int64(i), shard.sweeps(i)
+				if o.Matrix {
+					matrix = append(matrix, seed)
+				}
+				if o.Sched {
+					sched = append(sched, seed)
+				}
+			}
+		}
+		return matrix, sched
+	}
+	for _, shards := range []int{1, 3} {
+		matrix, sched := swept(shards)
+		if !reflect.DeepEqual(matrix, []int64{0, 25}) || !reflect.DeepEqual(sched, []int64{0, 10, 20, 30, 40}) {
+			t.Errorf("%d shards swept matrix %v, sched %v", shards, matrix, sched)
+		}
+	}
+	if o := (CampaignOpts{StartSeed: 31337, MatrixEvery: 25, SchedEvery: 10}).sweeps(0); o.Matrix || o.Sched {
+		t.Errorf("re-hunt of seed 31337 sweeps %+v", o)
+	}
+}
+
+// TestSharedRerunFallsBack covers the four checks that read the shared
+// rerun. With the shared rerun's bytes doctored, each must take its own
+// narrow rerun, pass, and count it; with the primary's bytes doctored
+// instead, each must fail as it does when it runs alone.
+func TestSharedRerunFallsBack(t *testing.T) {
+	sc := smallNav(DeploySpec{Mode: "adaptive", Remote: "edge", Goal: "ec", Threads: 4}, "fade", "wap:6-12")
+	sc.Adversarial = true
+	o, err := RunScenario(sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	doctor := func(b []byte) []byte {
+		d := append([]byte(nil), b...)
+		d[len(d)/2] ^= 1
+		return d
+	}
+	o.shared = withStore | withFlight | fromJSON
+	shared := o.rerun(o.shared)
+	if err := cmp.Or(shared.check(o, "errored", "diverged"), shared.storeErr); err != nil {
+		t.Fatalf("the shared rerun does not reproduce the primary: %v", err)
+	}
+	canon := o.Canon
+	shared.out.Canon = doctor(canon)
+	checks := []struct {
+		name   string
+		narrow []observers
+		fail   string
+	}{
+		{"store-roundtrip", []observers{withStore}, "recording perturbed the mission: "},
+		{"replay-determinism", []observers{0}, "replay diverged: "},
+		{"adversarial-replay", []observers{fromJSON}, "adversarial replay diverged: "},
+		{"flight-bundle", []observers{withFlight, withFlight | again}, "flight recorder/SLO perturbed the mission: "},
+	}
+	for _, c := range checks {
+		inv, _ := InvariantByName(c.name)
+		runs := o.runs
+		if err := inv.Check(o); err != nil {
+			t.Errorf("%s: %v", c.name, err)
+		}
+		for _, set := range c.narrow {
+			if o.reruns[set] == nil {
+				t.Errorf("%s took no rerun with observers %b", c.name, set)
+			}
+		}
+		if got := o.runs - runs; got != len(c.narrow) {
+			t.Errorf("%s counted %d runs, want %d", c.name, got, len(c.narrow))
+		}
+	}
+
+	shared.out.Canon = canon
+	o.Canon = doctor(canon)
+	for _, c := range checks {
+		inv, _ := InvariantByName(c.name)
+		want := c.fail + firstDiff(o.Canon, canon)
+		if err := inv.Check(o); err == nil || err.Error() != want {
+			t.Errorf("%s: got %v, want %s", c.name, err, want)
+		}
 	}
 }
 

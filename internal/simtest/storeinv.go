@@ -5,8 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
-	"os"
-	"path/filepath"
 	"sort"
 
 	"lgvoffload/internal/core"
@@ -14,83 +12,23 @@ import (
 )
 
 // checkStoreRoundTrip is the persistence invariant: recording a mission
-// into the store must be non-invasive (the recorded re-run is
+// into the store must be non-invasive (the recorded rerun is
 // byte-identical to the unrecorded primary), and what comes back off
 // disk must be exactly what went in — the scenario JSON, the Result
 // summary, and bookkeeping consistent with the persisted tick series.
-// Costs one extra full run (the recorded replay).
+// It reads the records of the scenario's shared rerun (see rerun.go).
 func checkStoreRoundTrip(o *Outcome) error {
-	dir, err := os.MkdirTemp("", "lgv-storeinv-")
-	if err != nil {
-		return fmt.Errorf("temp dir: %w", err)
+	r := o.rerunFor(withStore)
+	if err := r.check(o, "recorded re-run errored", "recording perturbed the mission"); err != nil {
+		return err
 	}
-	defer os.RemoveAll(dir)
-
-	scJSON, err := json.Marshal(o.Scenario)
-	if err != nil {
-		return fmt.Errorf("scenario marshal: %w", err)
+	if r.storeErr != nil {
+		return r.storeErr
 	}
-	path := filepath.Join(dir, "mission.lgvstore")
-	st, err := store.Open(path)
-	if err != nil {
-		return fmt.Errorf("open: %w", err)
-	}
-	rec, err := st.Begin(store.MissionStart{
-		Label:      "simtest",
-		Seed:       o.Scenario.Seed,
-		Workload:   o.Scenario.Workload,
-		Deploy:     o.Scenario.Deploy.Mode,
-		Goal:       o.Scenario.Deploy.Goal,
-		Threads:    o.Scenario.Deploy.Threads,
-		FaultSpec:  o.Scenario.Faults,
-		MaxSimTime: o.Scenario.MaxSimTime,
-		Scenario:   scJSON,
-	})
-	if err != nil {
-		st.Close()
-		return fmt.Errorf("begin: %w", err)
-	}
-	id := rec.ID()
-
-	o2, err := runScenario(o.Scenario, rec)
-	if err != nil {
-		rec.Abandon()
-		st.Close()
-		return fmt.Errorf("recorded re-run errored: %w", err)
-	}
-	if !bytes.Equal(o.Canon, o2.Canon) {
-		rec.Abandon()
-		st.Close()
-		return fmt.Errorf("recording perturbed the mission: %s", firstDiff(o.Canon, o2.Canon))
-	}
-	want := core.StoreSummary(o2.Res)
-	if err := rec.Finish(want); err != nil {
-		st.Close()
-		return fmt.Errorf("finish: %w", err)
-	}
-	if err := st.Close(); err != nil {
-		return fmt.Errorf("close: %w", err)
-	}
-
-	// Reopen cold — everything below must survive the disk round trip.
-	st2, err := store.Open(path)
-	if err != nil {
-		return fmt.Errorf("reopen: %w", err)
-	}
-	defer st2.Close()
-	if tb := st2.Stats().TruncatedBytes; tb != 0 {
-		return fmt.Errorf("clean close left a torn tail: %d bytes truncated on reopen", tb)
-	}
-	md, err := st2.ReadMission(id)
-	if err != nil {
-		return fmt.Errorf("read mission %s: %w", id, err)
-	}
-	if md.End == nil {
-		return fmt.Errorf("mission %s came back unfinished after Finish", id)
-	}
-	if !bytes.Equal([]byte(md.Start.Scenario), scJSON) {
+	md, want := r.stored, core.StoreSummary(r.out.Res)
+	if !bytes.Equal([]byte(md.Start.Scenario), r.scJSON) {
 		return fmt.Errorf("stored scenario JSON diverged: %s",
-			firstDiff([]byte(md.Start.Scenario), scJSON))
+			firstDiff([]byte(md.Start.Scenario), r.scJSON))
 	}
 
 	// Summary round trip: the stored MissionEnd minus recorder
@@ -140,9 +78,9 @@ func checkStoreRoundTrip(o *Outcome) error {
 	// The engine writes one decision record per Result log entry; the
 	// bounded queue may drop under pathological I/O stalls, but then
 	// Dropped must say so.
-	if md.End.Dropped == 0 && len(md.Decisions) != len(o2.Res.Decisions) {
+	if md.End.Dropped == 0 && len(md.Decisions) != len(r.out.Res.Decisions) {
 		return fmt.Errorf("stored %d decisions but the Result logged %d (and Dropped=0)",
-			len(md.Decisions), len(o2.Res.Decisions))
+			len(md.Decisions), len(r.out.Res.Decisions))
 	}
 	return nil
 }
