@@ -8,6 +8,7 @@ package lgvoffload
 // excludes them through the build tag above.
 
 import (
+	"math"
 	"math/rand"
 	"path/filepath"
 	"testing"
@@ -55,6 +56,32 @@ func TestAllocTrackerPlanSteadyState(t *testing.T) {
 	})
 	if allocs > 2 {
 		t.Errorf("PlanParallel steady state allocates %.1f/op, want <= 2", allocs)
+	}
+}
+
+// TestAllocTrackerPlanSerial: a warm serial plan on the lab map reuses
+// its result slot and its heading and footprint tables, and allocates
+// nothing. That holds too after a plan whose speed limit (a mission's
+// v_ceil) is NaN, infinite or ±1e308 has sized the footprint table to
+// the whole map.
+func TestAllocTrackerPlanSerial(t *testing.T) {
+	m := world.LabMap()
+	cm := costmap.New(costmap.DefaultConfig(m.Width, m.Height, m.Resolution, m.Origin))
+	cm.SetStatic(m)
+	for _, maxV := range []float64{tracker.DefaultConfig().MaxV, math.NaN(), math.Inf(1), math.Inf(-1), 1e308, -1e308} {
+		tcfg := tracker.DefaultConfig()
+		tcfg.VSamples, tcfg.WSamples, tcfg.MaxV = 25, 40, maxV
+		tk := tracker.New(tcfg)
+		in := tracker.Input{
+			Pose: geom.P(1, 1, 0), Vel: geom.Twist{V: 0.1},
+			Path:    []geom.Vec2{geom.V(1, 1), geom.V(5, 1)},
+			Costmap: cm,
+		}
+		tk.Plan(in) // size the result slot and the footprint table
+		allocs := testing.AllocsPerRun(20, func() { tk.Plan(in) })
+		if allocs > 0 {
+			t.Errorf("MaxV %v: warm Plan allocates %.1f/op, want 0", maxV, allocs)
+		}
 	}
 }
 

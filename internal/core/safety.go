@@ -59,9 +59,6 @@ func (s *SafetyController) CommandDelivered(now float64) {
 	s.stalled = false
 }
 
-// LastCommand returns when the last command was delivered.
-func (s *SafetyController) LastCommand() float64 { return s.lastCmd }
-
 // CheckStall evaluates the watchdog at virtual time now against an
 // effective deadline (the engine passes max(configured, 3× profiled VDP
 // makespan) so a legitimately slow local pipeline is not mistaken for a

@@ -491,11 +491,26 @@ func (c *Costmap) FootprintCost(p geom.Vec2) uint8 {
 		}
 		return worst
 	}
-	m, base := c.master, center.Y*w+center.X
+	base := center.Y*w + center.X
+	return c.ringCost(p, center, base, c.coreCost(base))
+}
+
+// coreCost folds the core cells of the window around the center cell
+// at master index base. The window must lie wholly on the map.
+func (c *Costmap) coreCost(base int) uint8 {
 	worst := FreeCost
 	for _, o := range c.fpCore {
-		worst = worse(worst, m[base+o.off])
+		worst = worse(worst, c.master[base+o.off])
 	}
+	return worst
+}
+
+// ringCost folds into worst, the core's fold, each ring cell of the
+// window around center (at master index base, the window wholly on the
+// map) that touches the footprint at p. Only a cell whose cost would
+// raise the worst so far is tested.
+func (c *Costmap) ringCost(p geom.Vec2, center geom.Cell, base int, worst uint8) uint8 {
+	m := c.master
 	for _, o := range c.fpRing {
 		// worse never raises the worst above the raw cost.
 		if cost := m[base+o.off]; cost > worst {
@@ -505,6 +520,86 @@ func (c *Costmap) FootprintCost(p geom.Vec2) uint8 {
 		}
 	}
 	return worst
+}
+
+// FootprintTable answers FootprintCost from two bytes per center cell
+// of a square of the map: the fold of the window's core, and the
+// largest folded cost of its ring. Where the ring's largest is no
+// higher than the core's fold, no ring cell can raise it, and that
+// fold is the answer. Otherwise the ring loop runs from it, as in
+// FootprintCost. A point whose center cell lies outside the square goes
+// to FootprintCost. So every answer is FootprintCost's, for the master
+// grid the table was filled from.
+//
+// A table answers for its costmap until the next Update, SetStatic or
+// LoadStatic; Fill it again after those. Cost only reads, so any number
+// of goroutines may call it between fills. The zero value is an empty
+// table that must be filled before use.
+type FootprintTable struct {
+	c      *Costmap
+	x0, y0 int      // the square's first center cell
+	w, h   int      // the square's size in cells
+	folds  []fpFold // row by row over the square
+}
+
+type fpFold struct{ core, ring uint8 }
+
+// Fill folds the windows of every center cell that a point within
+// reach meters of p can have: the square of cells within
+// floor(reach/Resolution) + 1 of p's cell, clipped to the centers whose
+// windows lie wholly on c's map. The cell count is clamped to the map's
+// larger side before it becomes an integer, so a NaN, infinite or huge
+// reach fills the whole clipped map, and the table's buffer, kept
+// across fills, never holds more entries than the map has cells.
+func (t *FootprintTable) Fill(c *Costmap, p geom.Vec2, reach float64) {
+	t.c = c
+	w, h := c.cfg.Width, c.cfg.Height
+	cells := reach / c.cfg.Resolution
+	if lim := float64(max(w, h)); !(cells <= lim) { // NaN and +Inf too
+		cells = lim
+	}
+	r := int(max(cells, 0)) + 1
+	// Centers whose windows lie wholly on the map: [lo, w-lo) × [lo, h-lo).
+	lo := max(c.fpCells, 0)
+	center := c.WorldToCell(p)
+	t.x0, t.y0, t.w, t.h = 0, 0, 0, 0
+	if center.X >= lo-r && center.X < w-lo+r && center.Y >= lo-r && center.Y < h-lo+r {
+		t.x0, t.y0 = max(center.X-r, lo), max(center.Y-r, lo)
+		t.w = max(min(center.X+r+1, w-lo)-t.x0, 0)
+		t.h = max(min(center.Y+r+1, h-lo)-t.y0, 0)
+	}
+	n := t.w * t.h
+	if cap(t.folds) < n {
+		t.folds = make([]fpFold, n)
+	}
+	t.folds = t.folds[:n]
+	m, k := c.master, 0
+	for y := t.y0; y < t.y0+t.h; y++ {
+		for x := t.x0; x < t.x0+t.w; x++ {
+			base := y*w + x
+			ring := FreeCost
+			for _, o := range c.fpRing {
+				ring = worse(ring, m[base+o.off])
+			}
+			t.folds[k] = fpFold{core: c.coreCost(base), ring: ring}
+			k++
+		}
+	}
+}
+
+// Cost returns the table's costmap's FootprintCost(p).
+func (t *FootprintTable) Cost(p geom.Vec2) uint8 {
+	c := t.c
+	center := c.WorldToCell(p)
+	x, y := center.X-t.x0, center.Y-t.y0
+	if x < 0 || x >= t.w || y < 0 || y >= t.h {
+		return c.FootprintCost(p)
+	}
+	f := t.folds[y*t.w+x]
+	if f.ring <= f.core {
+		return f.core
+	}
+	return c.ringCost(p, center, center.Y*c.cfg.Width+center.X, f.core)
 }
 
 // touches reports whether window cell o's square intersects the

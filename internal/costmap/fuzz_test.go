@@ -11,7 +11,10 @@ import (
 
 // FuzzFootprintCost checks FootprintCost against the per-cell reference
 // on arbitrary points, including off-map, non-finite and cell-boundary
-// ones, over random cost grids of every footprint shape.
+// ones, over random cost grids of every footprint shape. It then fills
+// a footprint table around a center drawn from the seed up to 14 cells
+// from the point, with a reach of 0 to 12 cells, and checks the table's
+// Cost at the point too: inside the square, on its edge or outside it.
 func FuzzFootprintCost(f *testing.F) {
 	f.Add(int64(1), uint8(0), 0.0, 0.0, 1.2, 1.0)
 	f.Add(int64(2), uint8(1), -3.7, 1.3, -3.7, 1.3)        // the map's corner
@@ -21,10 +24,20 @@ func FuzzFootprintCost(f *testing.F) {
 	f.Add(int64(6), uint8(0), 0.0, 0.0, math.Inf(1), 1.0)
 	f.Add(int64(7), uint8(1), 0.0, 0.0, 1.0, math.NaN())
 	f.Fuzz(func(t *testing.T, seed int64, shape uint8, ox, oy, x, y float64) {
-		c := randomFootprintMap(rand.New(rand.NewSource(seed)), int(shape), geom.V(ox, oy))
+		rng := rand.New(rand.NewSource(seed))
+		c := randomFootprintMap(rng, int(shape), geom.V(ox, oy))
 		p := geom.V(x, y)
-		if got, want := c.FootprintCost(p), refFootprintCost(c, p); got != want {
+		want := refFootprintCost(c, p)
+		if got := c.FootprintCost(p); got != want {
 			t.Fatalf("FootprintCost(%v) = %d, reference %d", p, got, want)
+		}
+		res := c.cfg.Resolution
+		center := p.Add(geom.V(float64(rng.Intn(29)-14)*res, float64(rng.Intn(29)-14)*res))
+		reach := float64(rng.Intn(13)) * res
+		var tab FootprintTable
+		tab.Fill(c, center, reach)
+		if got := tab.Cost(p); got != want {
+			t.Fatalf("table filled at %v, reach %v: Cost(%v) = %d, reference %d", center, reach, p, got, want)
 		}
 	})
 }

@@ -1,6 +1,7 @@
 package costmap
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -297,6 +298,125 @@ func TestFootprintSplitMatchesReference(t *testing.T) {
 				if got, want := c.FootprintCost(p), refFootprintCost(c, p); got != want {
 					t.Fatalf("radius %v cells, origin %v: FootprintCost(%v) = %d, reference %d", cells, org.o, p, got, want)
 				}
+			}
+		}
+	}
+}
+
+// TestFootprintTableMatchesReference fills footprint tables and holds
+// their Cost to the per-cell reference. The maps are the lab map after
+// random updates and random master grids of every footprint shape, the
+// split off (a 1e12 origin) and a one-cell window among them, each
+// redrawn between fill rounds. Fills are centered in the middle of the
+// map, next to each edge and off the map, with reaches of 0 to 12
+// cells. The points checked have center cells inside the square, on
+// its edge and one cell outside it, or lie off the map, or have
+// non-finite coordinates. A NaN, infinite or huge reach fills every
+// center whose window lies on the map, and a negative one a 3 × 3
+// square.
+func TestFootprintTableMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	type mapCase struct {
+		name   string
+		c      *Costmap
+		redraw func()
+	}
+	var cases []mapCase
+	lab := world.LabMap()
+	labMap := New(DefaultConfig(lab.Width, lab.Height, lab.Resolution, lab.Origin))
+	labMap.SetStatic(lab)
+	cases = append(cases, mapCase{"lab", labMap, func() { labMap.Update(randomUpdateScan(rng, labMap)) }})
+	random := func(name string, c *Costmap) {
+		cases = append(cases, mapCase{name, c, func() { randomMaster(rng, c) }})
+	}
+	for shape := range footprintShapes {
+		random(fmt.Sprintf("shape %d", shape), randomFootprintMap(rng, shape, geom.V(-3.7, 1.3)))
+	}
+	splitOff := randomFootprintMap(rng, 0, geom.V(1e12, -1e12))
+	if len(splitOff.fpCore) != 0 {
+		t.Fatal("split on at a 1e12 origin")
+	}
+	random("split off", splitOff)
+	oneCell := DefaultConfig(40, 36, 0.05, geom.V(0.3, -0.2))
+	oneCell.RobotRadius = -0.05
+	random("one-cell window", New(oneCell))
+	if c := cases[len(cases)-1].c; c.fpCells != 0 || len(c.fpWin) != 1 {
+		t.Fatalf("one-cell window: %d cells around the center, %d in all", c.fpCells, len(c.fpWin))
+	}
+
+	var tab FootprintTable
+	for _, mc := range cases {
+		c := mc.c
+		cfg := c.Config()
+		w, h, res := cfg.Width, cfg.Height, cfg.Resolution
+		// The reference costs the window's size per point: the 289- and
+		// 441-cell windows (shapes 2 and 3) get one round and every third
+		// reach, and the widest (shape 4, 10,609 cells) reaches 0 and 12
+		// from three centers and no whole-map fills.
+		centers := [][2]int{{w / 2, h / 2}, {0, h / 2}, {-3, h / 2}, {w - 1, h / 2}, {w / 2, 0}, {w / 2, h - 1}, {w / 2, h + 20}}
+		rounds, step := 2, 1
+		big := len(c.fpWin) > 2000
+		switch {
+		case big:
+			rounds, step, centers = 1, 12, centers[:3]
+		case len(c.fpWin) > 100:
+			rounds, step = 1, 3
+		}
+		// A point in the cell, one time in four on its corner.
+		inCell := func(x, y int) geom.Vec2 {
+			p := geom.V(cfg.Origin.X+float64(x)*res, cfg.Origin.Y+float64(y)*res)
+			if rng.Intn(4) > 0 {
+				p = p.Add(geom.V(rng.Float64()*res, rng.Float64()*res))
+			}
+			return p
+		}
+		check := func(what string, p geom.Vec2) {
+			t.Helper()
+			if got, want := tab.Cost(p), refFootprintCost(c, p); got != want {
+				t.Fatalf("%s, %s: table Cost(%v) = %d, reference %d", mc.name, what, p, got, want)
+			}
+		}
+		nan, inf := math.NaN(), math.Inf(1)
+		offMap := []geom.Vec2{
+			geom.V(cfg.Origin.X-1, cfg.Origin.Y+0.5*float64(h)*res),
+			geom.V(cfg.Origin.X+float64(w)*res+0.3, cfg.Origin.Y),
+			geom.V(nan, cfg.Origin.Y), geom.V(cfg.Origin.X, nan), geom.V(nan, nan),
+			geom.V(inf, cfg.Origin.Y), geom.V(-inf, -inf), geom.V(1e308, -1e308),
+		}
+		for round := 0; round < rounds; round++ {
+			mc.redraw()
+			for _, ctr := range centers {
+				for k := 0; k <= 12; k += step {
+					tab.Fill(c, inCell(ctr[0], ctr[1]), float64(k)*res)
+					for _, dy := range []int{-k - 2, -k - 1, -k, 0, k, k + 1, k + 2} {
+						for _, dx := range []int{-k - 2, -k - 1, -k, 0, k, k + 1, k + 2} {
+							check(fmt.Sprintf("fill at %v reach %d", ctr, k), inCell(ctr[0]+dx, ctr[1]+dy))
+						}
+					}
+					for _, p := range offMap {
+						check(fmt.Sprintf("fill at %v reach %d", ctr, k), p)
+					}
+				}
+			}
+		}
+		if big {
+			continue
+		}
+		lo := max(c.fpCells, 0)
+		for _, reach := range []float64{nan, inf, 1e308, -1e308, -inf} {
+			tab.Fill(c, inCell(w/2, h/2), reach)
+			if len(tab.folds) > w*h {
+				t.Fatalf("%s, reach %v: %d entries on a %d-cell map", mc.name, reach, len(tab.folds), w*h)
+			}
+			wantW, wantH := w-2*lo, h-2*lo
+			if reach < 0 {
+				wantW, wantH = 3, 3
+			}
+			if tab.w != wantW || tab.h != wantH {
+				t.Fatalf("%s, reach %v: %d × %d square, want %d × %d", mc.name, reach, tab.w, tab.h, wantW, wantH)
+			}
+			for i := 0; i < 50; i++ {
+				check(fmt.Sprintf("reach %v", reach), inCell(rng.Intn(w+2)-1, rng.Intn(h+2)-1))
 			}
 		}
 	}

@@ -83,9 +83,9 @@ var ErrAllBlocked = errors.New("tracker: all trajectories infeasible")
 // Tracker holds the configuration plus the persistent-pool plumbing
 // that lets the steady-state planning loop run allocation-free: one
 // pre-built worker closure, reusable per-worker result slots, the
-// heading table, and the current invocation's parameters staged in a
-// struct field. plan guards that staging area with a mutex, so a
-// Tracker is safe to call from multiple goroutines (invocations
+// heading and footprint tables, and the current invocation's parameters
+// staged in a struct field. plan guards that staging area with a mutex,
+// so a Tracker is safe to call from multiple goroutines (invocations
 // serialize).
 type Tracker struct {
 	cfg   Config
@@ -100,7 +100,11 @@ type Tracker struct {
 	// headings depend only on its angular velocity, so plan fills the
 	// table once per invocation and the workers only read it.
 	headings []sinCos
-	cur      struct {
+	// fp folds the footprint window of every center cell the rollouts
+	// can reach. plan fills it from the invocation's costmap before the
+	// workers run, into a buffer it keeps, and the workers only read it.
+	fp  costmap.FootprintTable
+	cur struct {
 		in         Input
 		carrot     geom.Vec2
 		m, threads int
@@ -124,16 +128,32 @@ func New(cfg Config) *Tracker {
 // Config returns the tracker configuration.
 func (t *Tracker) Config() Config { return t.cfg }
 
+// maxV returns the linear velocity limit under the dynamic cap.
+func (t *Tracker) maxV(vcap float64) float64 {
+	if vcap > 0 && vcap < t.cfg.MaxV {
+		return vcap
+	}
+	return t.cfg.MaxV
+}
+
+// speeds returns the dynamic window's linear velocity bounds around the
+// current velocity curV, under the limit maxV.
+func (t *Tracker) speeds(curV, maxV float64) (vLo, vHi float64) {
+	c := t.cfg
+	vLo = math.Max(c.MinV, curV-c.AccV*c.Period)
+	vHi = math.Min(maxV, curV+c.AccV*c.Period)
+	if vHi < vLo {
+		vHi = vLo
+	}
+	return vLo, vHi
+}
+
 // candidate enumerates sample i's velocity pair inside the dynamic
 // window around the current velocity.
 func (t *Tracker) candidate(i int, cur geom.Twist, maxV float64) geom.Twist {
 	c := t.cfg
 	vi, wi := i/c.WSamples, i%c.WSamples
-	vLo := math.Max(c.MinV, cur.V-c.AccV*c.Period)
-	vHi := math.Min(maxV, cur.V+c.AccV*c.Period)
-	if vHi < vLo {
-		vHi = vLo
-	}
+	vLo, vHi := t.speeds(cur.V, maxV)
 	v := vLo
 	if c.VSamples > 1 {
 		v = vLo + (vHi-vLo)*float64(vi)/float64(c.VSamples-1)
@@ -208,11 +228,7 @@ func (t *Tracker) carrot(pose geom.Pose, path []geom.Vec2) geom.Vec2 {
 // Sincos.
 func (t *Tracker) scoreOne(i int, in Input, carrot geom.Vec2) (cost float64, steps int) {
 	c := t.cfg
-	maxV := c.MaxV
-	if in.MaxVCap > 0 && in.MaxVCap < maxV {
-		maxV = in.MaxVCap
-	}
-	tw := t.candidate(i, in.Vel, maxV)
+	tw := t.candidate(i, in.Vel, t.maxV(in.MaxVCap))
 	arc := tw.Arc(c.SimDt)
 	pos := in.Pose.Pos
 	worstCell := uint8(0)
@@ -220,7 +236,7 @@ func (t *Tracker) scoreOne(i int, in Input, carrot geom.Vec2) (cost float64, ste
 	for _, h := range t.headings[wi*t.steps:][:t.steps] {
 		pos = arc.Move(pos, h.sin, h.cos)
 		steps++
-		fc := in.Costmap.FootprintCost(pos)
+		fc := t.fp.Cost(pos)
 		if fc >= costmap.InscribedCost {
 			return math.Inf(1), steps // collision or inside inscribed zone
 		}
@@ -236,6 +252,17 @@ func (t *Tracker) scoreOne(i int, in Input, carrot geom.Vec2) (cost float64, ste
 		c.SpeedWeight*tw.V, steps
 }
 
+// distToPath returns the distance from p to the nearest path segment:
+// the minimum of every segment's Segment.Dist, to the bit. It calls
+// Hypot only for a segment whose squared distance is within a relative
+// 2⁻⁴⁰ of the smallest square so far. A square and a Hypot each carry a
+// few ulps of relative error, so a segment further out than that is
+// further by Hypot too than the segment that set the smallest square.
+// While the smallest square is below 2⁻⁹⁰⁰, where a square can lose
+// its bits to underflow, every segment takes Hypot; where squares
+// overflow, the bound is +Inf and takes every segment too. A NaN square
+// means a NaN coordinate, whose Hypot is NaN or +Inf and so never the
+// minimum.
 func distToPath(p geom.Vec2, path []geom.Vec2) float64 {
 	if len(path) == 0 {
 		return 0
@@ -243,10 +270,17 @@ func distToPath(p geom.Vec2, path []geom.Vec2) float64 {
 	if len(path) == 1 {
 		return p.Dist(path[0])
 	}
-	best := math.Inf(1)
+	minSq, best := math.Inf(1), math.Inf(1)
 	for i := 0; i+1 < len(path); i++ {
-		if d := (geom.Segment{A: path[i], B: path[i+1]}).Dist(p); d < best {
-			best = d
+		pt := (geom.Segment{A: path[i], B: path[i+1]}).ClosestPoint(p)
+		sq := p.DistSq(pt)
+		if sq < minSq {
+			minSq = sq
+		}
+		if sq <= minSq*(1+0x1p-40) || minSq < 0x1p-900 {
+			if d := p.Dist(pt); d < best {
+				best = d
+			}
 		}
 	}
 	return best
@@ -305,8 +339,13 @@ func (t *Tracker) plan(in Input, threads int, part Partition) (Output, error) {
 	t.cur.in, t.cur.carrot = in, t.carrot(in.Pose, in.Path)
 	t.cur.m, t.cur.threads, t.cur.part = m, threads, part
 	t.fillHeadings(in.Pose.Theta, in.Vel.W)
+	// A rollout moves at most its speed times its horizon from the pose.
+	vLo, vHi := t.speeds(in.Vel.V, t.maxV(in.MaxVCap))
+	t.fp.Fill(in.Costmap, in.Pose.Pos, max(math.Abs(vLo), math.Abs(vHi))*float64(t.steps)*t.cfg.SimDt)
 	t.pl.Run(threads, t.runFn)
-	t.cur.in = Input{} // drop references to the caller's path/costmap
+	// Drop references to the caller's path and costmap; the footprint
+	// table keeps its costmap until the next plan.
+	t.cur.in = Input{}
 
 	out := Output{Score: math.Inf(1)}
 	bestIdx := -1
@@ -324,11 +363,7 @@ func (t *Tracker) plan(in Input, threads int, part Partition) (Output, error) {
 	if bestIdx < 0 {
 		return out, ErrAllBlocked
 	}
-	maxV := t.cfg.MaxV
-	if in.MaxVCap > 0 && in.MaxVCap < maxV {
-		maxV = in.MaxVCap
-	}
-	out.Cmd = t.candidate(bestIdx, in.Vel, maxV)
+	out.Cmd = t.candidate(bestIdx, in.Vel, t.maxV(in.MaxVCap))
 	return out, nil
 }
 

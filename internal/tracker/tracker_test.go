@@ -77,9 +77,10 @@ func TestParallelMatchesSerial(t *testing.T) {
 }
 
 // refCandidate and refPlan are the planner as it was before the heading
-// table: a serial loop over every candidate whose rollout calls
-// Arc.Apply, with its Sincos, at every step. Kept as the reference Plan
-// and PlanParallel must match in every Output field.
+// and footprint tables: a serial loop over every candidate whose rollout
+// calls Arc.Apply, with its Sincos, and Costmap.FootprintCost at every
+// step, and scores with refDistToPath. Kept as the reference Plan and
+// PlanParallel must match in every Output field.
 func refCandidate(c Config, i int, cur geom.Twist, maxV float64) geom.Twist {
 	vi, wi := i/c.WSamples, i%c.WSamples
 	vLo := math.Max(c.MinV, cur.V-c.AccV*c.Period)
@@ -125,7 +126,7 @@ func refPlan(c Config, in Input, carrot geom.Vec2) (Output, error) {
 		cost := math.Inf(1)
 		if !blocked {
 			cost = c.GoalWeight*pose.Pos.Dist(carrot) +
-				c.PathWeight*distToPath(pose.Pos, in.Path) +
+				c.PathWeight*refDistToPath(pose.Pos, in.Path) +
 				c.ObstacleWeight*float64(worstCell) -
 				c.SpeedWeight*tw.V
 		}
@@ -144,6 +145,53 @@ func refPlan(c Config, in Input, carrot geom.Vec2) (Output, error) {
 	return out, nil
 }
 
+// refDistToPath is distToPath before it picked segments by squared
+// distance: the minimum of every segment's Segment.Dist.
+func refDistToPath(p geom.Vec2, path []geom.Vec2) float64 {
+	if len(path) == 0 {
+		return 0
+	}
+	if len(path) == 1 {
+		return p.Dist(path[0])
+	}
+	best := math.Inf(1)
+	for i := 0; i+1 < len(path); i++ {
+		if d := (geom.Segment{A: path[i], B: path[i+1]}).Dist(p); d < best {
+			best = d
+		}
+	}
+	return best
+}
+
+// FuzzDistToPath holds distToPath to refDistToPath, bit for bit, for a
+// point and a path of up to four points (n mod 5 of them), over any
+// coordinates: subnormal ones, squares that underflow or overflow, NaN
+// and infinite ones, and points at exactly or nearly the same distance
+// from two segments.
+func FuzzDistToPath(f *testing.F) {
+	f.Add(1.0, 2.0, 0.0, 0.0, 3.0, 0.0, 3.0, 4.0, 0.0, 4.0, uint8(4))
+	f.Add(0.0, 0.0, -1.0, -1.0, 1.0, -1.0, 1.0, 1.0, -1.0, 1.0, uint8(4))                       // three segments at distance 1
+	f.Add(0.0, math.Nextafter(0, 1), -1.0, -1.0, 1.0, -1.0, 1.0, 1.0, -1.0, 1.0, uint8(4))      // a subnormal step off the middle
+	f.Add(5e-324, 0.0, 0.0, 0.0, 1e-310, 2e-310, -3e-320, 4e-320, 0.0, 1e-315, uint8(4))        // subnormal
+	f.Add(0.0, 0.0, 2.63e-162, 2.63e-162, 7.168e-162, 0.0, 3.584e-162, 0.0, 0.0, 0.0, uint8(3)) // the nearer segment's subnormal square is larger
+	f.Add(-162.0, 21.0, 73.0, 0.0, 4.0/3, 79.0, 4.0, 92.0, 45.0, 0.0, uint8(4))                 // equal squares, Hypots an ulp apart
+	f.Add(0.0, 0.0, 0x1p-450, -1.0, 0x1p-450, 1.0, -0x1p-451, 1.0, 0.0, 5.0, uint8(3))          // squares near 2⁻⁹⁰⁰
+	f.Add(1e200, -1e200, -1e300, 0.0, 1e308, 1e308, 0.0, 0.0, 1.0, 1.0, uint8(4))               // overflowing squares
+	f.Add(0.0, 0.0, 1.3e154, 0.0, 1.3e154, 1.0, 1.4e154, 0.0, 1.4e154, 1.0, uint8(4))           // one square overflows
+	f.Add(math.NaN(), 1.0, 0.0, 0.0, 3.0, 0.0, 3.0, 4.0, 0.0, 4.0, uint8(4))                    // NaN point
+	f.Add(1.0, 1.0, 0.0, 0.0, math.NaN(), 0.0, 3.0, 4.0, 0.0, 4.0, uint8(4))                    // NaN path point
+	f.Add(math.Inf(1), 0.0, 0.0, 0.0, 3.0, math.NaN(), 3.0, 4.0, 0.0, 4.0, uint8(3))            // Inf and NaN: Hypot +Inf
+	f.Add(2.0, 0.0, 0.0, 0.0, 4.0, 0.0, 4.0, 0.0, 0.0, 0.0, uint8(4))                           // on the path, repeated points
+	f.Fuzz(func(t *testing.T, px, py, ax, ay, bx, by, cx, cy, dx, dy float64, n uint8) {
+		p := geom.V(px, py)
+		path := []geom.Vec2{geom.V(ax, ay), geom.V(bx, by), geom.V(cx, cy), geom.V(dx, dy)}[:n%5]
+		got, want := distToPath(p, path), refDistToPath(p, path)
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("distToPath(%v, %v) = %v, reference %v", p, path, got, want)
+		}
+	})
+}
+
 // labCostmap is the Fig. 13 lab map's costmap after one update from a
 // random 90-beam scan, so its obstacle layer holds random lethal cells.
 func labCostmap(seed int64) *costmap.Costmap {
@@ -159,6 +207,31 @@ func labCostmap(seed int64) *costmap.Costmap {
 	return cm
 }
 
+// matchesReference fails t unless Plan, and PlanParallel at 2, 3 and 8
+// threads under both partitions, return refPlan's command, score bits,
+// error and work counts for in.
+func matchesReference(t *testing.T, cfg Config, tr *Tracker, in Input) {
+	t.Helper()
+	want, wantErr := refPlan(cfg, in, tr.carrot(in.Pose, in.Path))
+	check := func(name string, got Output, err error) {
+		t.Helper()
+		bits := math.Float64bits
+		if err != wantErr || bits(got.Cmd.V) != bits(want.Cmd.V) || bits(got.Cmd.W) != bits(want.Cmd.W) ||
+			bits(got.Score) != bits(want.Score) || got.Evaluated != want.Evaluated ||
+			got.Discarded != want.Discarded || got.Ops != want.Ops {
+			t.Fatalf("%s = %+v, %v; reference %+v, %v", name, got, err, want, wantErr)
+		}
+	}
+	got, err := tr.Plan(in)
+	check("Plan", got, err)
+	for _, threads := range []int{2, 3, 8} {
+		for _, part := range []Partition{Block, Interleaved} {
+			got, err := tr.PlanParallel(in, threads, part)
+			check(fmt.Sprintf("PlanParallel(%d, %v)", threads, part), got, err)
+		}
+	}
+}
+
 // FuzzPlanMatchesReference holds Plan and PlanParallel, at 2, 3 and 8
 // threads under both partitions, to the per-step reference: the same
 // command, score bits, error and work counts, from arbitrary poses
@@ -172,6 +245,13 @@ func FuzzPlanMatchesReference(f *testing.F) {
 	f.Add(int64(5), 9.5, 4.2, 3.1, 0.2, 1.5, 0.05, uint8(0), uint8(6))      // every rollout blocked
 	f.Add(int64(6), 2.72, 1.08, 0.7, 0.18, -0.3, 0.0, uint8(12), uint8(16)) // beside a wall: some blocked
 	f.Add(int64(7), 6.0, 3.0, 1000.3, 0.12, 0.4, 0.0, uint8(9), uint8(15))  // a heading far outside (-π, π]
+	f.Add(int64(8), 0.33, 3.1, 3.0, 0.2, 0.1, 0.0, uint8(24), uint8(39))    // within one window of the left wall
+	f.Add(int64(9), 11.7, 5.75, 0.6, 0.22, -0.4, 0.0, uint8(24), uint8(39)) // the top right corner
+	f.Add(int64(10), 6.0, 0.3, -1.4, 0.1, 0.0, 0.3, uint8(24), uint8(39))   // heading into the bottom wall
+	f.Add(int64(11), 6.0, 3.0, 0.2, 1e308, 0.3, 0.0, uint8(24), uint8(39))
+	f.Add(int64(12), 6.0, 3.0, 0.2, -1e308, 0.3, 0.0, uint8(24), uint8(39))
+	f.Add(int64(13), 6.0, 3.0, 0.2, 0.1, 0.3, 1e308, uint8(24), uint8(39))
+	f.Add(int64(14), 6.0, 3.0, 0.2, 0.1, 0.3, -1e308, uint8(24), uint8(39))
 	path := []geom.Vec2{geom.V(0.6, 0.6), geom.V(2.0, 2.9), geom.V(4.0, 2.9), geom.V(11, 5)}
 	f.Fuzz(func(t *testing.T, seed int64, x, y, theta, v, w, vcap float64, vs, ws uint8) {
 		cfg := DefaultConfig()
@@ -184,25 +264,40 @@ func FuzzPlanMatchesReference(f *testing.F) {
 			Costmap: labCostmap(seed),
 			MaxVCap: vcap,
 		}
-		want, wantErr := refPlan(cfg, in, tr.carrot(in.Pose, in.Path))
-		check := func(name string, got Output, err error) {
-			t.Helper()
-			bits := math.Float64bits
-			if err != wantErr || bits(got.Cmd.V) != bits(want.Cmd.V) || bits(got.Cmd.W) != bits(want.Cmd.W) ||
-				bits(got.Score) != bits(want.Score) || got.Evaluated != want.Evaluated ||
-				got.Discarded != want.Discarded || got.Ops != want.Ops {
-				t.Fatalf("%s = %+v, %v; reference %+v, %v", name, got, err, want, wantErr)
-			}
-		}
-		got, err := tr.Plan(in)
-		check("Plan", got, err)
-		for _, threads := range []int{2, 3, 8} {
-			for _, part := range []Partition{Block, Interleaved} {
-				got, err := tr.PlanParallel(in, threads, part)
-				check(fmt.Sprintf("PlanParallel(%d, %v)", threads, part), got, err)
-			}
-		}
+		matchesReference(t, cfg, tr, in)
 	})
+}
+
+// TestPlanOutOfRangeSpeeds holds Plan and PlanParallel to the reference
+// when the speed limit (a mission's v_ceil), the current speed or the
+// cap is NaN, infinite or ±1e308, values that reach the footprint
+// table's reach unchecked.
+func TestPlanOutOfRangeSpeeds(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	type speeds struct{ maxV, v, vcap float64 }
+	var cases []speeds
+	for _, maxV := range []float64{nan, inf, -inf, 1e308, -1e308} {
+		cases = append(cases, speeds{maxV, 0.15, 0}, speeds{maxV, 0.15, 0.3})
+	}
+	for _, x := range []float64{nan, 1e308, -1e308} {
+		cases = append(cases, speeds{0.22, x, 0}, speeds{0.22, 0.15, x})
+	}
+	cases = append(cases, speeds{1e308, 1e308, 0}, speeds{inf, -inf, inf})
+	cm := labCostmap(3)
+	cfg := DefaultConfig()
+	cfg.VSamples, cfg.WSamples = 5, 8
+	for _, sc := range cases {
+		cfg.MaxV = sc.maxV
+		tr := New(cfg)
+		in := Input{
+			Pose:    geom.P(6, 3, 0.4),
+			Vel:     geom.Twist{V: sc.v, W: 0.2},
+			Path:    []geom.Vec2{geom.V(6, 3), geom.V(9, 4.5)},
+			Costmap: cm,
+			MaxVCap: sc.vcap,
+		}
+		t.Run(fmt.Sprintf("%+v", sc), func(t *testing.T) { matchesReference(t, cfg, tr, in) })
+	}
 }
 
 func TestObstacleAvoidance(t *testing.T) {
