@@ -120,9 +120,10 @@ advhunt:
 # update and exact beam walk, costmap footprint, costmap rebuild against
 # its per-offset inflation, tracker plan against its per-step rollout,
 # the tracker's path distance against its every-segment Hypot, msg
-# header, POST /missions spec decoder, store record decoder against the
-# query oracle): quick enough for CI, long enough to catch shallow
-# regressions against the committed corpora.
+# header, bag reader against its own writer, POST /missions spec
+# decoder, store record decoder against the query oracle): quick enough
+# for CI, long enough to catch shallow regressions against the
+# committed corpora.
 # FuzzStoreRecords writes and opens a store file per input (about a
 # millisecond each), so the default 60 s minimization of each input
 # that finds new coverage would take its whole 10 s; it is capped.
@@ -137,6 +138,7 @@ fuzz-smoke:
 	go test -run '^$$' -fuzz FuzzPlanMatchesReference -fuzztime 10s ./internal/tracker
 	go test -run '^$$' -fuzz FuzzDistToPath -fuzztime 10s ./internal/tracker
 	go test -run '^$$' -fuzz FuzzHeaderDecode -fuzztime 30s ./internal/msg
+	go test -run '^$$' -fuzz FuzzBagReader -fuzztime 10s ./internal/bag
 	go test -run '^$$' -fuzz FuzzBuildScenarioMission -fuzztime 10s ./internal/simtest
 	go test -run '^$$' -fuzz FuzzStoreRecords -fuzztime 10s -fuzzminimizetime 1s ./internal/store
 

@@ -1,16 +1,12 @@
 package core
 
 import (
-	"math/rand"
 	"reflect"
 	"testing"
-	"time"
 
 	"lgvoffload/internal/faults"
 	"lgvoffload/internal/geom"
-	"lgvoffload/internal/msg"
 	"lgvoffload/internal/obs"
-	"lgvoffload/internal/sensor"
 	"lgvoffload/internal/world"
 )
 
@@ -116,102 +112,5 @@ func TestChaosDeterministicUnderFaults(t *testing.T) {
 	if a.TotalTime != b.TotalTime || a.WatchdogStops != b.WatchdogStops ||
 		a.Failovers != b.Failovers || a.FaultsInjected != b.FaultsInjected {
 		t.Errorf("result counters diverged: %+v vs %+v", a, b)
-	}
-}
-
-// TestChaosWorkerCrashAndReconnect exercises the real-socket plane:
-// kill the worker mid-stream, watch the switcher degrade to local, then
-// restart a worker on the same port and verify the hello probes
-// re-register it — no manual rewiring — and scans are served again.
-func TestChaosWorkerCrashAndReconnect(t *testing.T) {
-	fn := func(scan *msg.Scan) (*msg.Twist, error) {
-		return &msg.Twist{V: 0.5}, nil
-	}
-	w1, err := NewWorker("127.0.0.1:0", HostEdge, fn)
-	if err != nil {
-		t.Fatal(err)
-	}
-	addr := w1.Addr()
-
-	sw, err := NewSwitcher(addr, NewProfiler())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sw.Close()
-	sw.HealthTimeout = 200 * time.Millisecond // speed the test up
-	w1.Register(sw.Addr())
-
-	m := world.EmptyRoomMap(6, 4, 0.05)
-	laser := sensor.NewLaser(90, 3.5, 0.01, rand.New(rand.NewSource(1)))
-	scan := func(i int) *msg.Scan {
-		return msg.FromSensor(laser.Sense(m, geom.P(1, 2, 0), float64(i)*0.2), 0)
-	}
-
-	// Phase 1: healthy service.
-	deadline := time.Now().Add(5 * time.Second)
-	for i := 0; sw.Received() == 0; i++ {
-		if err := sw.SendScan(scan(i)); err != nil {
-			t.Fatal(err)
-		}
-		sw.Pump()
-		if time.Now().After(deadline) {
-			t.Fatal("worker never served the first scan")
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	if sw.Degraded() {
-		t.Fatal("switcher degraded while the worker is alive")
-	}
-
-	// Phase 2: crash. The switcher must notice by silence alone.
-	if err := w1.Close(); err != nil {
-		t.Fatal(err)
-	}
-	deadline = time.Now().Add(5 * time.Second)
-	for !sw.Degraded() {
-		sw.Maintain()
-		sw.Pump()
-		if time.Now().After(deadline) {
-			t.Fatal("switcher never declared the dead worker")
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-
-	// Phase 3: restart on the same port, no Register call — the
-	// switcher's hello probe is the only way the new worker can learn
-	// its peer.
-	w2, err := NewWorker(addr.String(), HostEdge, fn)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer w2.Close()
-	deadline = time.Now().Add(5 * time.Second)
-	for sw.Degraded() {
-		sw.Maintain()
-		sw.Pump()
-		if time.Now().After(deadline) {
-			t.Fatal("switcher never reconnected to the restarted worker")
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	if sw.Reconnects() < 1 {
-		t.Errorf("reconnects = %d, want >= 1", sw.Reconnects())
-	}
-
-	// Phase 4: the restarted worker serves real work.
-	before := sw.Received()
-	deadline = time.Now().Add(5 * time.Second)
-	for i := 0; sw.Received() == before; i++ {
-		if err := sw.SendScan(scan(i)); err != nil {
-			t.Fatal(err)
-		}
-		sw.Pump()
-		if time.Now().After(deadline) {
-			t.Fatal("restarted worker never served a scan")
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	if w2.Served() == 0 {
-		t.Error("second worker served nothing")
 	}
 }

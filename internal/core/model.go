@@ -3,9 +3,10 @@
 // migration strategy that classifies nodes into the Fig. 4 taxonomy and
 // selects which to offload (Algorithm 1, §IV); the offload network
 // quality control that switches placement from packet bandwidth and
-// signal direction (Algorithm 2, §VI); the Profiler/Switcher/Controller
-// runtime (§VII); and the end-to-end mission engine that ties the
-// simulated vehicle, network and platforms together.
+// signal direction (Algorithm 2, §VI); the Profiler and Controller of
+// the §VII runtime; and the end-to-end mission engine that ties the
+// simulated vehicle, network and platforms together, carrying the
+// Switcher's hops in virtual time over internal/netsim.
 package core
 
 import (

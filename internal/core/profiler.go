@@ -1,7 +1,6 @@
 package core
 
 import (
-	"sort"
 	"sync"
 
 	"lgvoffload/internal/netsim"
@@ -48,19 +47,9 @@ func (p *Profiler) RecordProc(node string, seconds float64) {
 	}
 }
 
-// ProcTime returns the smoothed processing time of a node, or 0 when the
-// node was never profiled. Callers that must distinguish "never profiled"
-// from "instant" use ProcTimeOK.
-func (p *Profiler) ProcTime(node string) float64 {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.procTime[node]
-}
-
 // ProcTimeOK returns the smoothed processing time of a node and whether
 // the node has ever been profiled. A cold profiler returning a silent 0
-// would make unprofiled nodes look free to Algorithm 1; callers that feed
-// placement decisions must use this variant.
+// would make unprofiled nodes look free to Algorithm 1.
 func (p *Profiler) ProcTimeOK(node string) (float64, bool) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -78,13 +67,6 @@ func (p *Profiler) RecordRTT(seconds float64) {
 	} else {
 		p.rtt, p.haveRTT = seconds, true
 	}
-}
-
-// RTT returns the smoothed round-trip time (0 when never measured).
-func (p *Profiler) RTT() float64 {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.rtt
 }
 
 // RTTOK returns the smoothed round-trip time and whether any round trip
@@ -156,16 +138,4 @@ func (p *Profiler) VDP(placement Placement) timing.VDPBreakdown {
 		b.Network = p.rtt
 	}
 	return b
-}
-
-// Nodes returns the profiled node names, sorted.
-func (p *Profiler) Nodes() []string {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	out := make([]string, 0, len(p.procTime))
-	for n := range p.procTime {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
 }

@@ -8,27 +8,27 @@ import (
 func TestProfilerEWMA(t *testing.T) {
 	p := NewProfiler()
 	p.RecordProc("n", 0.1)
-	if got := p.ProcTime("n"); got != 0.1 {
+	if got, _ := p.ProcTimeOK("n"); got != 0.1 {
 		t.Errorf("first sample = %v", got)
 	}
 	p.RecordProc("n", 0.2)
 	want := 0.1 + 0.3*(0.2-0.1)
-	if got := p.ProcTime("n"); math.Abs(got-want) > 1e-12 {
+	if got, _ := p.ProcTimeOK("n"); math.Abs(got-want) > 1e-12 {
 		t.Errorf("ewma = %v, want %v", got, want)
 	}
-	if p.ProcTime("unknown") != 0 {
-		t.Error("unknown node should be 0")
+	if got, ok := p.ProcTimeOK("unknown"); ok || got != 0 {
+		t.Errorf("unknown node = %v, %v; want 0, false", got, ok)
 	}
 }
 
 func TestProfilerRTT(t *testing.T) {
 	p := NewProfiler()
-	if p.RTT() != 0 {
-		t.Error("initial RTT")
+	if got, ok := p.RTTOK(); ok || got != 0 {
+		t.Errorf("initial RTT = %v, %v; want 0, false", got, ok)
 	}
 	p.RecordRTT(0.01)
 	p.RecordRTT(0.02)
-	got := p.RTT()
+	got, _ := p.RTTOK()
 	if got <= 0.01 || got >= 0.02 {
 		t.Errorf("smoothed RTT = %v", got)
 	}
@@ -80,15 +80,5 @@ func TestProfilerBandwidthAndLatency(t *testing.T) {
 	p.RecordDirection(-0.4)
 	if p.Direction() != -0.4 {
 		t.Error("direction")
-	}
-}
-
-func TestProfilerNodesSorted(t *testing.T) {
-	p := NewProfiler()
-	p.RecordProc("b", 1)
-	p.RecordProc("a", 1)
-	ns := p.Nodes()
-	if len(ns) != 2 || ns[0] != "a" {
-		t.Errorf("nodes = %v", ns)
 	}
 }

@@ -173,11 +173,8 @@ func TestTelemetryDisabledMatchesEnabled(t *testing.T) {
 
 func TestProfilerProcTimeOK(t *testing.T) {
 	p := NewProfiler()
-	if _, ok := p.ProcTimeOK(NodeMux); ok {
-		t.Error("unseen node must report ok=false")
-	}
-	if got := p.ProcTime(NodeMux); got != 0 {
-		t.Errorf("unseen ProcTime = %v", got)
+	if got, ok := p.ProcTimeOK(NodeMux); ok || got != 0 {
+		t.Errorf("unseen node: ProcTimeOK = %v, %v; want 0, false", got, ok)
 	}
 	p.RecordProc(NodeMux, 0.004)
 	got, ok := p.ProcTimeOK(NodeMux)
@@ -188,8 +185,8 @@ func TestProfilerProcTimeOK(t *testing.T) {
 
 func TestProfilerRTTOK(t *testing.T) {
 	p := NewProfiler()
-	if _, ok := p.RTTOK(); ok {
-		t.Error("cold profiler must report no RTT")
+	if got, ok := p.RTTOK(); ok || got != 0 {
+		t.Errorf("cold profiler: RTTOK = %v, %v; want 0, false", got, ok)
 	}
 	p.RecordRTT(0.025)
 	got, ok := p.RTTOK()

@@ -3,16 +3,10 @@ package core
 import (
 	"bytes"
 	"math"
-	"math/rand"
 	"testing"
-	"time"
 
-	"lgvoffload/internal/geom"
-	"lgvoffload/internal/msg"
 	"lgvoffload/internal/obs"
-	"lgvoffload/internal/sensor"
 	"lgvoffload/internal/spans"
-	"lgvoffload/internal/world"
 )
 
 // runTraced runs a small mission with the tracer attached and returns
@@ -143,95 +137,4 @@ func TestTraceChaosRecordsEpisodes(t *testing.T) {
 	if !found {
 		t.Errorf("no fault window marks recorded: %v", kinds)
 	}
-}
-
-// TestTraceSurvivesRealUDP drives the real-socket switcher/worker pair
-// with tracing enabled: the trace context stamped on the uplinked scan
-// must come back in the worker's reply and close a complete offload
-// span tree on the switcher's tracer.
-func TestTraceSurvivesRealUDP(t *testing.T) {
-	fn := func(scan *msg.Scan) (*msg.Twist, error) {
-		time.Sleep(2 * time.Millisecond) // measurable remote proc time
-		return &msg.Twist{V: 0.5}, nil
-	}
-	w, err := NewWorker("127.0.0.1:0", HostEdge, fn)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer w.Close()
-
-	tr := spans.NewTracer(4096)
-	w.SetTracer(tr) // same process: worker annotations land in one buffer
-
-	sw, err := NewSwitcher(w.Addr(), NewProfiler())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sw.Close()
-	sw.SetTracer(tr)
-	w.Register(sw.Addr())
-
-	m := world.EmptyRoomMap(6, 4, 0.05)
-	laser := sensor.NewLaser(90, 3.5, 0.01, rand.New(rand.NewSource(1)))
-
-	deadline := time.Now().Add(5 * time.Second)
-	for i := 0; sw.Received() == 0 || !hasOffloadRoot(tr); i++ {
-		scan := msg.FromSensor(laser.Sense(m, geom.P(1, 2, 0), float64(i)*0.2), 0)
-		if err := sw.SendScan(scan); err != nil {
-			t.Fatal(err)
-		}
-		if scan.TraceID == 0 || scan.ParentSpan == 0 {
-			t.Fatal("SendScan did not stamp trace context")
-		}
-		sw.Pump()
-		if time.Now().After(deadline) {
-			t.Fatal("no traced offload round completed")
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-
-	sp := tr.Spans()
-	if err := spans.Validate(sp); err != nil {
-		t.Fatalf("invalid span set: %v", err)
-	}
-	var root *spans.Span
-	for i := range sp {
-		if sp[i].Kind == spans.Tick && sp[i].Name == "offload" {
-			root = &sp[i]
-			break
-		}
-	}
-	if root == nil {
-		t.Fatal("no offload root span")
-	}
-	// rtt and the compute segment are recorded atomically with the root;
-	// worker_exec joins the trace parentless (the reply closing the root
-	// can be lost, so the worker never links to a span it cannot see).
-	want := map[string]bool{"rtt": false, NodeTracking: false, "worker_exec": false}
-	for _, s := range sp {
-		if s.Trace != root.Trace {
-			continue
-		}
-		if s.Parent == root.ID || s.Name == "worker_exec" {
-			want[s.Name] = true
-		}
-	}
-	for name, ok := range want {
-		if !ok {
-			t.Errorf("offload trace missing %q span (UDP propagation broken)", name)
-		}
-	}
-	paths := spans.AnalyzeTicks(sp)
-	if len(paths) == 0 || paths[0].Makespan <= 0 {
-		t.Fatalf("no analyzable offload rounds: %v", paths)
-	}
-}
-
-func hasOffloadRoot(tr *spans.Tracer) bool {
-	for _, s := range tr.Spans() {
-		if s.Kind == spans.Tick && s.Name == "offload" {
-			return true
-		}
-	}
-	return false
 }

@@ -1,8 +1,9 @@
-// Package msg defines the concrete middleware message types exchanged by
-// the LGV workload nodes: laser scans, poses, velocity commands, paths,
-// goals, map patches and profiling records. Each type implements
-// wire.Message so it can travel over the simulated wireless link exactly
-// as the paper's protobuf-serialized ROS messages do.
+// Package msg defines the wire messages whose encodings the
+// reproduction depends on: laser scans, poses and velocity commands.
+// Each type implements wire.Message. The mission engine sizes the uplink
+// scan frame from the Scan encoding (the uplink bytes and Eq. 1b's
+// transmit energy follow from it), and bag files record Scan and Pose
+// frames; Twist is the paper's 48-byte velocity command.
 package msg
 
 import (
@@ -11,41 +12,31 @@ import (
 	"lgvoffload/internal/wire"
 )
 
-// Message kinds. Stable over the wire.
+// Message kinds. Stable over the wire: bags and the committed fuzz
+// corpora decode by them.
 const (
 	KindTwist uint16 = iota + 1
 	KindScan
 	KindPose
-	KindGoal
-	KindPath
-	KindGridPatch
-	KindProfile
-	KindOdom
-	KindHeartbeat
 )
 
 func init() {
 	wire.Register(KindTwist, func() wire.Message { return &Twist{} })
 	wire.Register(KindScan, func() wire.Message { return &Scan{} })
 	wire.Register(KindPose, func() wire.Message { return &Pose{} })
-	wire.Register(KindGoal, func() wire.Message { return &Goal{} })
-	wire.Register(KindPath, func() wire.Message { return &Path{} })
-	wire.Register(KindGridPatch, func() wire.Message { return &GridPatch{} })
-	wire.Register(KindProfile, func() wire.Message { return &Profile{} })
-	wire.Register(KindOdom, func() wire.Message { return &Odom{} })
-	wire.Register(KindHeartbeat, func() wire.Message { return &Heartbeat{} })
 }
 
-// Header carries per-message sequencing and the temporal information the
-// Switcher attaches (paper §VII): when the message was created in
-// simulation time and when it was sent, enabling RTT and VDP makespan
-// accounting at the Profiler. Since header v2 it also carries the
-// causal trace context (internal/spans): a worker that echoes the
-// header back hands the reply's spans to the sender's trace tree.
+// Header carries per-message sequencing and the temporal information of
+// the paper's §VII switcher: when the carried data was created and when
+// the message was sent. Missions model that exchange in virtual time
+// (internal/core over internal/netsim) and use the encoding only for the
+// scan frame's size; bags keep the stamps. Since header v2 it also
+// carries the causal trace context (internal/spans), which LGVBAG2
+// files round-trip.
 type Header struct {
 	Seq    uint64
 	Stamp  float64 // creation time of the carried data
-	SentAt float64 // transmission time, set by the switcher
+	SentAt float64 // transmission time
 
 	// Trace context (header v2). Zero values mean "untraced"; the two
 	// extra uvarints then cost one byte each on the wire.
@@ -183,195 +174,5 @@ func (m *Pose) UnmarshalWire(d *wire.Decoder) error {
 	m.X = d.Float64()
 	m.Y = d.Float64()
 	m.Theta = d.Float64()
-	return d.Err()
-}
-
-// Odom is a stamped odometry estimate with instantaneous velocity.
-type Odom struct {
-	Header
-	X, Y, Theta float64
-	V, W        float64
-}
-
-func (*Odom) Kind() uint16 { return KindOdom }
-
-// AsPose converts the odometry position to a pose.
-func (m *Odom) AsPose() geom.Pose { return geom.P(m.X, m.Y, m.Theta) }
-
-func (m *Odom) MarshalWire(e *wire.Encoder) {
-	m.Header.marshal(e)
-	e.Float64(m.X)
-	e.Float64(m.Y)
-	e.Float64(m.Theta)
-	e.Float64(m.V)
-	e.Float64(m.W)
-}
-
-func (m *Odom) UnmarshalWire(d *wire.Decoder) error {
-	m.Header.unmarshal(d)
-	m.X = d.Float64()
-	m.Y = d.Float64()
-	m.Theta = d.Float64()
-	m.V = d.Float64()
-	m.W = d.Float64()
-	return d.Err()
-}
-
-// Goal is a navigation or exploration target.
-type Goal struct {
-	Header
-	X, Y float64
-}
-
-func (*Goal) Kind() uint16 { return KindGoal }
-
-func (m *Goal) MarshalWire(e *wire.Encoder) {
-	m.Header.marshal(e)
-	e.Float64(m.X)
-	e.Float64(m.Y)
-}
-
-func (m *Goal) UnmarshalWire(d *wire.Decoder) error {
-	m.Header.unmarshal(d)
-	m.X = d.Float64()
-	m.Y = d.Float64()
-	return d.Err()
-}
-
-// Path is a planned global path as a polyline.
-type Path struct {
-	Header
-	Xs, Ys []float64
-}
-
-func (*Path) Kind() uint16 { return KindPath }
-
-// FromPoints builds a Path message from a polyline.
-func FromPoints(pts []geom.Vec2, seq uint64, stamp float64) *Path {
-	p := &Path{Header: Header{Seq: seq, Stamp: stamp}}
-	p.Xs = make([]float64, len(pts))
-	p.Ys = make([]float64, len(pts))
-	for i, v := range pts {
-		p.Xs[i] = v.X
-		p.Ys[i] = v.Y
-	}
-	return p
-}
-
-// Points converts back to a polyline.
-func (m *Path) Points() []geom.Vec2 {
-	n := len(m.Xs)
-	if len(m.Ys) < n {
-		n = len(m.Ys)
-	}
-	pts := make([]geom.Vec2, n)
-	for i := 0; i < n; i++ {
-		pts[i] = geom.V(m.Xs[i], m.Ys[i])
-	}
-	return pts
-}
-
-func (m *Path) MarshalWire(e *wire.Encoder) {
-	m.Header.marshal(e)
-	e.Float64Slice(m.Xs)
-	e.Float64Slice(m.Ys)
-}
-
-func (m *Path) UnmarshalWire(d *wire.Decoder) error {
-	m.Header.unmarshal(d)
-	m.Xs = d.Float64SliceInto(m.Xs[:0])
-	m.Ys = d.Float64SliceInto(m.Ys[:0])
-	return d.Err()
-}
-
-// GridPatch is a rectangular update to an occupancy grid, used to ship
-// costmap and SLAM map regions between hosts.
-type GridPatch struct {
-	Header
-	X0, Y0        int64 // cell offset of the patch in the destination grid
-	Width, Height int64
-	Resolution    float64
-	OriginX       float64
-	OriginY       float64
-	Cells         []int8
-}
-
-func (*GridPatch) Kind() uint16 { return KindGridPatch }
-
-func (m *GridPatch) MarshalWire(e *wire.Encoder) {
-	m.Header.marshal(e)
-	e.Varint(m.X0)
-	e.Varint(m.Y0)
-	e.Varint(m.Width)
-	e.Varint(m.Height)
-	e.Float64(m.Resolution)
-	e.Float64(m.OriginX)
-	e.Float64(m.OriginY)
-	e.Int8Slice(m.Cells)
-}
-
-func (m *GridPatch) UnmarshalWire(d *wire.Decoder) error {
-	m.Header.unmarshal(d)
-	m.X0 = d.Varint()
-	m.Y0 = d.Varint()
-	m.Width = d.Varint()
-	m.Height = d.Varint()
-	m.Resolution = d.Float64()
-	m.OriginX = d.Float64()
-	m.OriginY = d.Float64()
-	m.Cells = d.Int8SliceInto(m.Cells[:0])
-	return d.Err()
-}
-
-// Heartbeat is the liveness beacon exchanged by the real-socket Switcher
-// and Worker: the worker beats periodically (and echoes the switcher's
-// hello probes) so a killed worker is detected by silence rather than by
-// the absence of replies to real work.
-type Heartbeat struct {
-	Header
-	From   string // sender identity (host name)
-	Served int64  // scans served so far: monotone worker progress
-}
-
-func (*Heartbeat) Kind() uint16 { return KindHeartbeat }
-
-func (m *Heartbeat) MarshalWire(e *wire.Encoder) {
-	m.Header.marshal(e)
-	e.String(m.From)
-	e.Varint(m.Served)
-}
-
-func (m *Heartbeat) UnmarshalWire(d *wire.Decoder) error {
-	m.Header.unmarshal(d)
-	m.From = d.String()
-	m.Served = d.Varint()
-	return d.Err()
-}
-
-// Profile is the Profiler's record of one node execution: which node ran,
-// where, and how long it took (paper §VII "Profiler"). Remote switchers
-// attach these to returning messages so the local profiler can compute
-// the VDP makespan.
-type Profile struct {
-	Header
-	Node     string
-	Host     string
-	ProcTime float64 // processing time, s
-}
-
-func (*Profile) Kind() uint16 { return KindProfile }
-
-func (m *Profile) MarshalWire(e *wire.Encoder) {
-	m.Header.marshal(e)
-	e.String(m.Node)
-	e.String(m.Host)
-	e.Float64(m.ProcTime)
-}
-
-func (m *Profile) UnmarshalWire(d *wire.Decoder) error {
-	m.Header.unmarshal(d)
-	m.Node = d.String()
-	m.Host = d.String()
-	m.ProcTime = d.Float64()
 	return d.Err()
 }

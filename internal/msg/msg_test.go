@@ -75,76 +75,6 @@ func TestPoseRoundtrip(t *testing.T) {
 	}
 }
 
-func TestOdomRoundtrip(t *testing.T) {
-	in := &Odom{Header: Header{Seq: 1}, X: 1, Y: 2, Theta: 0.5, V: 0.2, W: -0.3}
-	out := roundtrip(t, in).(*Odom)
-	if *out != *in {
-		t.Errorf("odom %+v", out)
-	}
-	if out.AsPose() != geom.P(1, 2, 0.5) {
-		t.Error("AsPose")
-	}
-}
-
-func TestGoalRoundtrip(t *testing.T) {
-	in := &Goal{Header: Header{Seq: 3, Stamp: 0.5}, X: 4.5, Y: -1}
-	out := roundtrip(t, in).(*Goal)
-	if *out != *in {
-		t.Errorf("goal %+v", out)
-	}
-}
-
-func TestPathRoundtrip(t *testing.T) {
-	pts := []geom.Vec2{geom.V(0, 0), geom.V(1, 1), geom.V(2, 0)}
-	in := FromPoints(pts, 5, 1.0)
-	out := roundtrip(t, in).(*Path)
-	got := out.Points()
-	if len(got) != 3 {
-		t.Fatalf("points = %d", len(got))
-	}
-	for i := range pts {
-		if got[i] != pts[i] {
-			t.Errorf("point %d = %v", i, got[i])
-		}
-	}
-}
-
-func TestPathEmptyAndMismatched(t *testing.T) {
-	empty := FromPoints(nil, 0, 0)
-	if len(empty.Points()) != 0 {
-		t.Error("empty path")
-	}
-	// Defensive: mismatched Xs/Ys takes the shorter.
-	p := &Path{Xs: []float64{1, 2}, Ys: []float64{3}}
-	if len(p.Points()) != 1 {
-		t.Error("mismatched path should truncate")
-	}
-}
-
-func TestGridPatchRoundtrip(t *testing.T) {
-	in := &GridPatch{
-		Header: Header{Seq: 11, Stamp: 4},
-		X0:     -5, Y0: 3, Width: 2, Height: 2,
-		Resolution: 0.05, OriginX: -1, OriginY: -2,
-		Cells: []int8{0, 100, -1, 0},
-	}
-	out := roundtrip(t, in).(*GridPatch)
-	if out.X0 != -5 || out.Y0 != 3 || out.Width != 2 || out.Height != 2 {
-		t.Errorf("geometry %+v", out)
-	}
-	if len(out.Cells) != 4 || out.Cells[1] != 100 || out.Cells[2] != -1 {
-		t.Errorf("cells %v", out.Cells)
-	}
-}
-
-func TestProfileRoundtrip(t *testing.T) {
-	in := &Profile{Header: Header{Seq: 2}, Node: "path_tracking", Host: "cloud", ProcTime: 0.004}
-	out := roundtrip(t, in).(*Profile)
-	if *out != *in {
-		t.Errorf("profile %+v", out)
-	}
-}
-
 func TestCorruptFrameFails(t *testing.T) {
 	in := FromPose(geom.P(1, 2, 3), 1, 1)
 	b := wire.EncodeFrame(in)

@@ -51,8 +51,8 @@ const (
 	MTransferBytes = "net_transfer_bytes"
 	// MDrops counts lost messages. Label: topic.
 	MDrops = "net_drops"
-	// MOverwrites counts bounded-queue freshness overwrites. Label: topic
-	// or endpoint.
+	// MOverwrites counts bounded-queue freshness overwrites. Label:
+	// topic.
 	MOverwrites = "queue_overwrites"
 	// MLinkSent / MLinkDropped count wireless-link packets. No label.
 	MLinkSent    = "link_packets_sent"
@@ -73,11 +73,6 @@ const (
 	// recording queue discarded during the run (holes in the persisted
 	// time series). No label.
 	MStoreDropped = "store_records_dropped"
-	// MFrames counts real-socket frames received. Label: transport.
-	MFrames = "endpoint_frames"
-	// MDecodeErrors counts real-socket frames that failed to decode.
-	// Label: transport.
-	MDecodeErrors = "endpoint_decode_errors"
 	// MFaultsInjected counts disturbances injected by the fault
 	// schedule. Label: fault kind.
 	MFaultsInjected = "faults_injected"
@@ -86,9 +81,6 @@ const (
 	// MFailovers counts remote→local failovers forced by consecutive
 	// missed control ticks. No label.
 	MFailovers = "failovers"
-	// MReconnects counts worker links re-established after being
-	// declared dead. Label: transport or peer.
-	MReconnects = "reconnects"
 	// Critical-path decomposition of the per-tick VDP makespan, fed by
 	// the engine's control tick whenever telemetry is on (tracing not
 	// required): compute seconds labelled by host, queue/transport
@@ -124,11 +116,10 @@ const (
 )
 
 // Telemetry bundles a registry and a timeline with the semantic hooks
-// the engine calls; the wireless link, the fault schedule, the UDP
-// endpoint and the real-socket switcher hold one too. The zero value is
-// not usable — construct with NewTelemetry — but a nil *Telemetry is a
-// valid no-op: every method checks the receiver, so instrumented code
-// can call hooks unconditionally.
+// the engine calls; the wireless link and the fault schedule hold one
+// too. The zero value is not usable — construct with NewTelemetry — but
+// a nil *Telemetry is a valid no-op: every method checks the receiver,
+// so instrumented code can call hooks unconditionally.
 type Telemetry struct {
 	Reg      *Registry
 	Timeline *Timeline

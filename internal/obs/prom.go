@@ -28,9 +28,6 @@ var promLabelKey = map[string]string{
 	MTransferBytes:        "topic",
 	MDrops:                "topic",
 	MOverwrites:           "queue",
-	MReconnects:           "peer",
-	MFrames:               "transport",
-	MDecodeErrors:         "transport",
 	MFaultsInjected:       "kind",
 	MCritComputeSeconds:   "host",
 	MCritQueueSeconds:     "dir",

@@ -129,6 +129,11 @@ func (h *Histogram) Mean() float64 {
 func (h *Histogram) Quantile(q float64) float64 {
 	h.mu.Lock()
 	defer h.mu.Unlock()
+	return h.quantile(q)
+}
+
+// quantile is Quantile with h.mu held.
+func (h *Histogram) quantile(q float64) float64 {
 	if h.n == 0 {
 		return 0
 	}
@@ -157,9 +162,19 @@ func (h *Histogram) Quantile(q float64) float64 {
 	return h.max
 }
 
-// Quantiles returns the p50/p95/p99 estimates in one pass of locking.
-func (h *Histogram) Quantiles() (p50, p95, p99 float64) {
-	return h.Quantile(0.50), h.Quantile(0.95), h.Quantile(0.99)
+// point reads the histogram's snapshot row under one lock, so its count,
+// sum, mean and quantiles describe the same samples even while another
+// goroutine observes.
+func (h *Histogram) point(name, label string) MetricPoint {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	p := MetricPoint{Name: name, Label: label, Kind: "histogram",
+		Count: h.n, Sum: h.sum,
+		P50: h.quantile(0.50), P95: h.quantile(0.95), P99: h.quantile(0.99)}
+	if h.n > 0 {
+		p.Value = h.sum / float64(h.n)
+	}
+	return p
 }
 
 // Bounds returns a copy of the bucket upper bounds.
@@ -308,12 +323,7 @@ func (r *Registry) Snapshot() []MetricPoint {
 		case e.g != nil:
 			out = append(out, MetricPoint{Name: e.name, Label: e.label, Kind: "gauge", Value: e.g.Value()})
 		default:
-			p50, p95, p99 := e.h.Quantiles()
-			out = append(out, MetricPoint{
-				Name: e.name, Label: e.label, Kind: "histogram",
-				Value: e.h.Mean(), Count: e.h.Count(), Sum: e.h.Sum(),
-				P50: p50, P95: p95, P99: p99,
-			})
+			out = append(out, e.h.point(e.name, e.label))
 		}
 	}
 	sort.Slice(out, func(i, j int) bool {

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 )
 
 // TestHistogramQuantilesExact checks the interpolation against a known
@@ -119,6 +120,36 @@ func TestRegistryConcurrent(t *testing.T) {
 	}
 	if total != workers*iters {
 		t.Errorf("counter total = %v, want %d", total, workers*iters)
+	}
+}
+
+// TestSnapshotHistogramRowsDoNotTear takes snapshots while another
+// goroutine observes unit samples: each histogram row must describe one
+// set of samples, so its sum equals its count and its mean is 1. A row
+// whose fields are read under separate locks can mix samples, as the
+// /metrics scrapes of a running mission do.
+func TestSnapshotHistogramRowsDoNotTear(t *testing.T) {
+	r := NewRegistry()
+	h := r.Histogram("h", "")
+	stop, done := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(done)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				h.Observe(1)
+			}
+		}
+	}()
+	defer func() { close(stop); <-done }()
+	deadline := time.Now().Add(500 * time.Millisecond)
+	for row := 0; row < 200000 && time.Now().Before(deadline); row++ {
+		p := r.Snapshot()[0]
+		if p.Sum != float64(p.Count) || (p.Count > 0 && p.Value != 1) {
+			t.Fatalf("row %d tore: count %d, sum %v, mean %v", row, p.Count, p.Sum, p.Value)
+		}
 	}
 }
 

@@ -36,9 +36,6 @@ const (
 	// KindFailover marks the safety controller pulling remote nodes
 	// home after consecutive missed control ticks.
 	KindFailover Kind = "failover"
-	// KindReconnect marks the real-socket switcher re-establishing a
-	// worker after it was declared dead.
-	KindReconnect Kind = "reconnect"
 	// KindHandoff marks the link roaming between access points; T0..T1
 	// covers the re-association signal dip.
 	KindHandoff Kind = "handoff"
@@ -68,7 +65,6 @@ const (
 //	fault:     T0..T1 = scheduled window; Node = fault kind
 //	watchdog_stop: Value = command staleness (s) when the stop fired
 //	failover:  Value = consecutive misses; Detail = "remote -> local ..."
-//	reconnect: Value = outage duration (wall seconds); Detail = peer
 type Event struct {
 	Seq       uint64  `json:"seq"`
 	Kind      Kind    `json:"kind"`

@@ -4,7 +4,11 @@ import (
 	"bytes"
 	"encoding/json"
 	"reflect"
+	"strings"
 	"testing"
+	"time"
+
+	"lgvoffload/internal/core"
 )
 
 // FuzzBuildScenarioMission feeds the POST /missions spec decoder
@@ -50,4 +54,38 @@ func FuzzBuildScenarioMission(f *testing.F) {
 			t.Fatalf("stamped scenario decodes to %+v, spec to %+v", got, want)
 		}
 	})
+}
+
+// TestTinyResolutionWorldsFailStartCheck admits two 1000x1000-cell
+// worlds whose cells are far smaller than the robot. A start check that
+// sized its search square from the robot's reach would walk about
+// 2x10^11 cells per row at 1e-12 m, and at 1e-300 m the size overflows
+// int so no cell would be checked. Both must fail core.NewMission at
+// once with the start-collision error.
+func TestTinyResolutionWorldsFailStartCheck(t *testing.T) {
+	for _, world := range []string{
+		`{"kind":"empty","w":1e-9,"h":1e-9,"res":1e-12}`,
+		`{"kind":"empty","w":1e-297,"h":1e-297,"res":1e-300}`,
+	} {
+		spec := `{"mission_seed":1,"workload":"navigation","world":` + world +
+			`,"start_x":0,"start_y":0,"goal_x":0,"goal_y":0,"deploy":{"mode":"local","threads":1},` +
+			`"fleet":1,"link":{"profile":"good","wapx":0,"wapy":0},"max_sim_time":5}`
+		cfg, _, err := BuildScenarioMission([]byte(spec))
+		if err != nil {
+			t.Fatalf("%s: %v", world, err)
+		}
+		done := make(chan error, 1)
+		go func() {
+			_, err := core.NewMission(cfg)
+			done <- err
+		}()
+		select {
+		case err := <-done:
+			if err == nil || !strings.Contains(err.Error(), "start pose") {
+				t.Errorf("%s: NewMission error %v, want the start-collision error", world, err)
+			}
+		case <-time.After(20 * time.Second):
+			t.Fatalf("%s: NewMission still checking the start pose after 20 s", world)
+		}
+	}
 }

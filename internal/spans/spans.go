@@ -1,10 +1,8 @@
-// Package spans is the causal tracing layer: every control tick (and
-// every real-socket offload round) is recorded as a tree of spans —
-// compute, queue and transport intervals with parent links and host/node
-// attributes — so a late command can be attributed to the hop that made
-// it late, not just to an aggregate histogram. Times are plain float64
-// seconds in whatever clock the producer runs on (virtual mission time
-// in the engine, wall time since epoch in the switcher/worker).
+// Package spans is the causal tracing layer: every control tick is
+// recorded as a tree of spans — compute, queue and transport intervals
+// with parent links and host/node attributes — so a late command can be
+// attributed to the hop that made it late, not just to an aggregate
+// histogram. Times are plain float64 seconds of virtual mission time.
 //
 // The package imports nothing from the repo but internal/ring, and
 // mirrors the obs nil-safety contract: every method on a nil *Tracer is
@@ -31,7 +29,7 @@ const (
 	Compute Kind = iota
 	Queue
 	Transport
-	Tick // root span of one control tick / offload round
+	Tick // root span of one control tick
 	Aux
 	Mark
 )
@@ -79,8 +77,8 @@ const DefaultCapacity = 1 << 16
 // Tracer collects completed spans into a bounded ring and hands out
 // trace/span ids. A nil Tracer is the disabled state: every method
 // no-ops and returns zero. The single short-critical-section mutex
-// keeps it safe for the concurrent real-socket path (switcher pump,
-// worker loop) while staying cheap for the single-goroutine engine.
+// lets the HTTP inspector read spans while a mission records them, and
+// stays cheap for the single-goroutine engine.
 type Tracer struct {
 	mu     sync.Mutex
 	ring   ring.Ring[Span] // Evicted() counts spans dropped by the bound
@@ -113,8 +111,8 @@ func (t *Tracer) NewTrace() uint64 {
 }
 
 // NextID reserves a span id without recording anything, for producers
-// that must hand a parent id to a remote peer before the parent span's
-// end time is known (the switcher does this when stamping a scan).
+// that must hand a parent id to children before the parent span's end
+// time is known (the engine does this for each control tick's root).
 func (t *Tracer) NextID() uint64 {
 	if t == nil {
 		return 0

@@ -100,6 +100,9 @@ type Tracker struct {
 	// headings depend only on its angular velocity, so plan fills the
 	// table once per invocation and the workers only read it.
 	headings []sinCos
+	// ws[wi] is W sample wi's angular velocity in the invocation's
+	// dynamic window; fillHeadings fills it beside the heading table.
+	ws []float64
 	// fp folds the footprint window of every center cell the rollouts
 	// can reach. plan fills it from the invocation's costmap before the
 	// workers run, into a buffer it keeps, and the workers only read it.
@@ -107,6 +110,7 @@ type Tracker struct {
 	cur struct {
 		in         Input
 		carrot     geom.Vec2
+		vLo, vHi   float64 // the dynamic window's linear velocity bounds
 		m, threads int
 		part       Partition
 	}
@@ -120,7 +124,8 @@ func New(cfg Config) *Tracker {
 		panic(fmt.Sprintf("tracker: bad sample counts %dx%d", cfg.VSamples, cfg.WSamples))
 	}
 	steps := max(int(cfg.SimTime/cfg.SimDt), 0)
-	t := &Tracker{cfg: cfg, steps: steps, pl: pool.Shared(), headings: make([]sinCos, cfg.WSamples*steps)}
+	t := &Tracker{cfg: cfg, steps: steps, pl: pool.Shared(),
+		headings: make([]sinCos, cfg.WSamples*steps), ws: make([]float64, cfg.WSamples)}
 	t.runFn = func(w int) { t.results[w] = t.scoreSpan(w) }
 	return t
 }
@@ -148,17 +153,16 @@ func (t *Tracker) speeds(curV, maxV float64) (vLo, vHi float64) {
 	return vLo, vHi
 }
 
-// candidate enumerates sample i's velocity pair inside the dynamic
-// window around the current velocity.
-func (t *Tracker) candidate(i int, cur geom.Twist, maxV float64) geom.Twist {
+// candidate enumerates sample i's velocity pair inside the invocation's
+// dynamic window, which plan stages once (cur.vLo, cur.vHi and ws).
+func (t *Tracker) candidate(i int) geom.Twist {
 	c := t.cfg
 	vi, wi := i/c.WSamples, i%c.WSamples
-	vLo, vHi := t.speeds(cur.V, maxV)
-	v := vLo
+	v := t.cur.vLo
 	if c.VSamples > 1 {
-		v = vLo + (vHi-vLo)*float64(vi)/float64(c.VSamples-1)
+		v = t.cur.vLo + (t.cur.vHi-t.cur.vLo)*float64(vi)/float64(c.VSamples-1)
 	}
-	return geom.Twist{V: v, W: t.angular(wi, cur.W)}
+	return geom.Twist{V: v, W: t.ws[wi]}
 }
 
 // angular returns W sample wi's angular velocity inside the dynamic
@@ -173,12 +177,14 @@ func (t *Tracker) angular(wi int, curW float64) float64 {
 	return wLo + (wHi-wLo)*float64(wi)/float64(c.WSamples-1)
 }
 
-// fillHeadings computes the heading table for rollouts starting at
-// heading theta with current angular velocity curW: each W sample's
-// headings follow its arc from theta, one Sincos per step.
+// fillHeadings computes the W samples' angular velocities around the
+// current angular velocity curW, and the heading table for rollouts
+// starting at heading theta: each W sample's headings follow its arc
+// from theta, one Sincos per step.
 func (t *Tracker) fillHeadings(theta, curW float64) {
-	for wi := 0; wi < t.cfg.WSamples; wi++ {
-		arc := geom.Twist{W: t.angular(wi, curW)}.Arc(t.cfg.SimDt)
+	for wi := range t.ws {
+		t.ws[wi] = t.angular(wi, curW)
+		arc := geom.Twist{W: t.ws[wi]}.Arc(t.cfg.SimDt)
 		th := theta
 		row := t.headings[wi*t.steps:][:t.steps]
 		for s := range row {
@@ -228,7 +234,7 @@ func (t *Tracker) carrot(pose geom.Pose, path []geom.Vec2) geom.Vec2 {
 // Sincos.
 func (t *Tracker) scoreOne(i int, in Input, carrot geom.Vec2) (cost float64, steps int) {
 	c := t.cfg
-	tw := t.candidate(i, in.Vel, t.maxV(in.MaxVCap))
+	tw := t.candidate(i)
 	arc := tw.Arc(c.SimDt)
 	pos := in.Pose.Pos
 	worstCell := uint8(0)
@@ -339,9 +345,9 @@ func (t *Tracker) plan(in Input, threads int, part Partition) (Output, error) {
 	t.cur.in, t.cur.carrot = in, t.carrot(in.Pose, in.Path)
 	t.cur.m, t.cur.threads, t.cur.part = m, threads, part
 	t.fillHeadings(in.Pose.Theta, in.Vel.W)
+	t.cur.vLo, t.cur.vHi = t.speeds(in.Vel.V, t.maxV(in.MaxVCap))
 	// A rollout moves at most its speed times its horizon from the pose.
-	vLo, vHi := t.speeds(in.Vel.V, t.maxV(in.MaxVCap))
-	t.fp.Fill(in.Costmap, in.Pose.Pos, max(math.Abs(vLo), math.Abs(vHi))*float64(t.steps)*t.cfg.SimDt)
+	t.fp.Fill(in.Costmap, in.Pose.Pos, max(math.Abs(t.cur.vLo), math.Abs(t.cur.vHi))*float64(t.steps)*t.cfg.SimDt)
 	t.pl.Run(threads, t.runFn)
 	// Drop references to the caller's path and costmap; the footprint
 	// table keeps its costmap until the next plan.
@@ -363,7 +369,7 @@ func (t *Tracker) plan(in Input, threads int, part Partition) (Output, error) {
 	if bestIdx < 0 {
 		return out, ErrAllBlocked
 	}
-	out.Cmd = t.candidate(bestIdx, in.Vel, t.maxV(in.MaxVCap))
+	out.Cmd = t.candidate(bestIdx)
 	return out, nil
 }
 

@@ -176,8 +176,17 @@ func (w *World) collides(p geom.Pose) bool {
 // collides when any part of its square intersects the disc — the check
 // uses the closest point on the cell rectangle, so coarse grids cannot
 // hide an obstacle between cell centers.
+//
+// A disc that reaches past the map's larger side holds an off-map cell
+// within its radius wherever it is centered, so such a reach, and a NaN
+// one, collides before the search square is sized from it: the square
+// could otherwise overflow int or take hours to walk.
 func FootprintCollides(m *grid.Map, pos geom.Vec2, radius float64) bool {
-	cr := int(math.Ceil(radius/m.Resolution)) + 1
+	reach := radius / m.Resolution
+	if !(reach <= float64(max(m.Width, m.Height))) {
+		return true
+	}
+	cr := int(math.Ceil(reach)) + 1
 	center := m.WorldToCell(pos)
 	r2 := radius * radius
 	half := m.Resolution / 2

@@ -154,6 +154,87 @@ func TestFootprintCollides(t *testing.T) {
 	if !FootprintCollides(m, geom.V(-5, -5), 0.1) {
 		t.Error("outside the map should collide")
 	}
+	// Reaches refFootprintCollides cannot answer: a NaN or infinite
+	// radius, and a robot-sized disc on 1000x1000-cell maps at 1e-12 m
+	// and 1e-300 m. The first square would hold about 10^23 cells; the
+	// second's size overflows int, so the reference walks no cell and
+	// reports a free disc.
+	for _, r := range []float64{math.NaN(), math.Inf(1)} {
+		if !FootprintCollides(m, geom.V(1, 1), r) {
+			t.Errorf("radius %v: no collision", r)
+		}
+	}
+	for _, res := range []float64{1e-12, 1e-300} {
+		tiny := EmptyRoomMap(1000*res, 1000*res, res)
+		if !FootprintCollides(tiny, geom.V(500*res, 500*res), 0.105) {
+			t.Errorf("resolution %g: a 0.105 m disc fits a %g m map", res, 1000*res)
+		}
+	}
+}
+
+// refFootprintCollides is FootprintCollides without its reach guard:
+// the search square is sized from the reach however large it is.
+func refFootprintCollides(m *grid.Map, pos geom.Vec2, radius float64) bool {
+	cr := int(math.Ceil(radius/m.Resolution)) + 1
+	center := m.WorldToCell(pos)
+	r2 := radius * radius
+	half := m.Resolution / 2
+	for dy := -cr; dy <= cr; dy++ {
+		for dx := -cr; dx <= cr; dx++ {
+			c := geom.Cell{X: center.X + dx, Y: center.Y + dy}
+			cw := m.CellToWorld(c)
+			closest := geom.V(
+				geom.Clamp(pos.X, cw.X-half, cw.X+half),
+				geom.Clamp(pos.Y, cw.Y-half, cw.Y+half),
+			)
+			if closest.DistSq(pos) > r2 {
+				continue
+			}
+			if !m.InBounds(c) || m.At(c) == grid.Occupied {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// TestFootprintCollidesMatchesReference checks the reach guard against
+// the unguarded function on random maps of up to 16x16 cells with a few
+// occupied and unknown cells, centers on the map or just off it, and
+// reaches in three bands: within 1.5 cells of the map's larger side, up
+// to a third of it (where most free discs are), and up to three times
+// it.
+func TestFootprintCollidesMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	states := []int8{grid.Free, grid.Occupied, grid.Unknown}
+	for trial := 0; trial < 5000; trial++ {
+		w, h := 1+rng.Intn(16), 1+rng.Intn(16)
+		res := []float64{0.05, 0.1, 0.3, 1}[rng.Intn(4)]
+		origin := geom.V(rng.Float64()*4-2, rng.Float64()*4-2)
+		m := grid.NewMap(w, h, res, origin, grid.Free)
+		for i := range m.Cells {
+			if rng.Float64() < 0.05 {
+				m.Cells[i] = states[rng.Intn(len(states))]
+			}
+		}
+		pos := geom.V(origin.X+(rng.Float64()*1.2-0.1)*float64(w)*res,
+			origin.Y+(rng.Float64()*1.2-0.1)*float64(h)*res)
+		side := float64(max(w, h))
+		var reach float64
+		switch trial % 3 {
+		case 0:
+			reach = side + (rng.Float64()*2-1)*1.5
+		case 1:
+			reach = rng.Float64() * side / 3
+		default:
+			reach = rng.Float64() * 3 * side
+		}
+		radius := reach * res
+		if got, want := FootprintCollides(m, pos, radius), refFootprintCollides(m, pos, radius); got != want {
+			t.Fatalf("trial %d: %dx%d map at %g m, pos %v, radius %g (%g cells): got %v, reference %v",
+				trial, w, h, res, pos, radius, reach, got, want)
+		}
+	}
 }
 
 func TestZeroAndNegativeDt(t *testing.T) {
